@@ -2,9 +2,9 @@
 //! a public call made from this file — the layer boundaries of the
 //! analysis path (artifact build, simulate, sample, blame, advise,
 //! render) and of the daemon path seen from the client. The run also
-//! makes traced passes of both workloads and of the daemon's warm and
-//! open-loop traffic, and measures the selected workload once more
-//! untraced for `trace.overhead_ratio`.
+//! makes a `run_batch` sweep, traced passes of `serve_cold` and of the
+//! daemon's warm and open-loop traffic, and for `serve_cold` one more
+//! untraced pass for `trace.overhead_ratio`.
 
 use crate::serve::{self, Counters, ServeRun};
 use crate::stats::{self, Rng};
@@ -13,7 +13,7 @@ use gpa_arch::LatencyTable;
 use gpa_core::{AdviceReport, AdviceRequest, Advisor, ModuleBlame};
 use gpa_kernels::apps::app_by_name;
 use gpa_kernels::runner::armed_gpu_with;
-use gpa_pipeline::{AnalysisJob, AnalysisOutcome, Session};
+use gpa_pipeline::{AnalysisJob, Session};
 use gpa_sampling::{KernelProfile, Profiler};
 use gpa_serve::{protocol, Request};
 use gpa_sim::CompiledProgram;
@@ -178,51 +178,27 @@ fn cycles_digest(found: &[(AnalysisJob, u64, AdviceReport)]) -> String {
     sweep::cycles_digest(found.iter().map(|(j, c, _)| (j, *c)))
 }
 
-/// One sweep of `jobs` on a fresh `Session::full()` with `nproc`
-/// workers, each outcome rendered. Untraced, it is `run_batch`; traced,
-/// each job is a span around `run_one_request_repeat` and its render on
-/// the same number of threads. Returns the wall time, the summed span
-/// time (zero untraced) and the outcomes.
-fn sweep_once(
-    jobs: &[AnalysisJob],
-    traced: bool,
-) -> (Duration, Duration, Vec<(AnalysisJob, u64, AdviceReport)>) {
+/// One `run_batch` sweep of `jobs` on a fresh `Session::full()`, each
+/// outcome rendered. Returns the wall time, the summed per-job spans
+/// (`AnalysisOutcome::wall`, which the pipeline records on every run)
+/// and the outcomes.
+fn sweep_once(jobs: &[AnalysisJob]) -> (Duration, Duration, Vec<(AnalysisJob, u64, AdviceReport)>) {
     let session = Session::full();
-    let request = AdviceRequest::default();
-    let render =
-        |out: &Result<AnalysisOutcome, _>| out.as_ref().ok().map(|o| o.to_json_v2().compact());
     let t = Instant::now();
-    let mut spans = Duration::ZERO;
-    let outcomes: Vec<_> = if traced {
-        let traced = stats::parallel_map(jobs, stats::nproc(), |job| {
-            let start = Instant::now();
-            let out = session.run_one_request_repeat(job, &request, 1);
-            let rendered = render(&out);
-            (out, rendered, start.elapsed())
-        });
-        traced
-            .into_iter()
-            .map(|(out, rendered, span)| {
-                spans += span;
-                (out, rendered)
-            })
-            .collect()
-    } else {
-        session
-            .run_batch(jobs)
-            .into_iter()
-            .map(|out| {
-                let rendered = render(&out);
-                (out, rendered)
-            })
-            .collect()
-    };
+    let outcomes = session.run_batch(jobs);
+    let rendered: Vec<Option<String>> =
+        outcomes.iter().map(|o| o.as_ref().ok().map(|o| o.to_json_v2().compact())).collect();
     let wall = t.elapsed();
-    black_box(&outcomes);
+    black_box(&rendered);
+    let mut spans = Duration::ZERO;
     let found = jobs
         .iter()
         .zip(outcomes)
-        .filter_map(|(job, (out, _))| out.ok().map(|o| (job.clone(), o.cycles, o.report)))
+        .filter_map(|(job, out)| out.ok().map(|o| (job.clone(), o)))
+        .map(|(job, o)| {
+            spans += o.wall;
+            (job, o.cycles, o.report)
+        })
         .collect();
     (wall, spans, found)
 }
@@ -233,27 +209,24 @@ pub fn run(workload: &str, seed: u64, seconds: f64) -> Run {
     Rng::new(seed).shuffle(&mut jobs);
 
     let p = probe(&jobs, &mut run);
-    let (untraced_wall, _, untraced) = sweep_once(&jobs, false);
-    let (traced_wall, spans, traced) = sweep_once(&jobs, true);
+    let (sweep_wall, spans, swept) = sweep_once(&jobs);
     run.note(format!(
-        "traced sweep: {} job spans, {:.1} ms busy over {:.1} ms wall on {} workers",
-        traced.len(),
+        "sweep: {} job spans, {:.1} ms busy over {:.1} ms wall on {} workers",
+        swept.len(),
         stats::ms(spans),
-        stats::ms(traced_wall),
+        stats::ms(sweep_wall),
         stats::nproc()
     ));
 
-    // The counts and fidelity repeat exactly across the probe and both
-    // sweeps; the digest lets separate runs be compared.
+    // The counts and fidelity repeat exactly across the probe and the
+    // sweep; the digest lets separate runs be compared.
     let probe_digest = cycles_digest(&p.found);
     let probe_fidelity = sweep::fidelity(&rows_of(&p.found));
-    for (name, found) in [("untraced sweep", &untraced), ("traced sweep", &traced)] {
-        if found.len() != p.found.len()
-            || cycles_digest(found) != probe_digest
-            || sweep::fidelity(&rows_of(found)) != probe_fidelity
-        {
-            run.invalidate(format!("{name}: cycles or fidelity differ from the probe's"));
-        }
+    if swept.len() != p.found.len()
+        || cycles_digest(&swept) != probe_digest
+        || sweep::fidelity(&rows_of(&swept)) != probe_fidelity
+    {
+        run.invalidate("sweep: cycles or fidelity differ from the probe's".to_string());
     }
     run.note(format!(
         "counts: cycles={} issued={} mem_transactions={} l2_hits={} l2_misses={} cycles_digest={probe_digest} \
@@ -271,15 +244,18 @@ pub fn run(workload: &str, seed: u64, seconds: f64) -> Run {
     let half = (seconds / 2.0).max(1.0);
     let warm = serve::warm(seed, half);
     let open = serve::arrivals(seed);
-    let cold = serve::cold(seed, half, true, 1);
+    let cold = serve::cold(seed, half, true);
     run.absorb("warm pass", &warm.run);
     run.absorb("open-loop pass", &open.run);
     run.absorb("serve_cold pass", &cold.run);
 
+    // The sweep's per-job spans are the outcomes' own `wall`, recorded
+    // whether or not anyone reads them, so its traced and untraced runs
+    // are the same `run_batch` call: no overhead by construction.
     let overhead = if workload == "sweep_full" {
-        traced_wall.as_secs_f64() / untraced_wall.as_secs_f64()
+        1.0
     } else {
-        let plain = serve::cold(seed, half, false, 1);
+        let plain = serve::cold(seed, half, false);
         run.absorb("untraced serve_cold pass", &plain.run);
         cold.trace.per_request_s / plain.trace.per_request_s
     };
@@ -317,7 +293,7 @@ pub fn run(workload: &str, seed: u64, seconds: f64) -> Run {
     run.metric("json.render_bytes", p.json_bytes as f64, "B");
     run.metric(
         "pipeline.parallel_efficiency",
-        p.pipeline_jobs.as_secs_f64() / (untraced_wall.as_secs_f64() * stats::nproc() as f64),
+        p.pipeline_jobs.as_secs_f64() / (sweep_wall.as_secs_f64() * stats::nproc() as f64),
         "share",
     );
     serve_metrics(&mut run, &warm, &open, &cold);
@@ -366,6 +342,9 @@ fn serve_metrics(run: &mut Run, warm: &ServeRun, open: &ServeRun, cold: &ServeRu
     run.metric("serve.queue_rejected", all.rejected as f64, "count");
     run.metric("serve.byte_sheds", all.byte_sheds as f64, "count");
     run.metric("serve.errors", all.errors as f64, "count");
+    let shares: Vec<f64> =
+        [warm, open, cold].iter().flat_map(|r| r.trace.reactor_shares.iter().copied()).collect();
+    run.metric("serve.busiest_reactor_share", stats::mean(&shares), "share");
     let lateness = &open.trace.lateness_ms;
     run.metric("serve.gen_lateness_p50_ms", stats::median(lateness), "ms");
     run.metric("serve.gen_lateness_max_ms", lateness.iter().copied().fold(0.0, f64::max), "ms");

@@ -18,9 +18,9 @@ mod sweep;
 use std::fmt::Write as _;
 
 /// How many times a run repeats its set-up; `setup_s` is the median.
-/// The sweep's set-up takes milliseconds, so it repeats more.
+/// A daemon start takes well under a millisecond, so it repeats most.
 pub const SWEEP_SETUP_REPS: usize = 9;
-pub const SERVE_SETUP_REPS: usize = 3;
+pub const SERVE_SETUP_REPS: usize = 101;
 
 /// A seed never used while the benchmark or a change was tuned: later
 /// claims are re-checked on it.
@@ -217,7 +217,7 @@ fn main() {
     } else {
         match workload.as_str() {
             "sweep_full" => sweep::run(seed, seconds),
-            _ => serve::cold(seed, seconds, false, SERVE_SETUP_REPS).run,
+            _ => serve::cold(seed, seconds, false).run,
         }
     };
     run.print(&workload, seed, trace);

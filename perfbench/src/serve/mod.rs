@@ -17,8 +17,9 @@ use crate::{stats, sweep, Run};
 use gpa_core::{AdviceReport, AdviceRequest};
 use gpa_json::Json;
 use gpa_pipeline::{AnalysisJob, Session};
-use gpa_serve::{protocol, serve, Request, ServeClient, ServerConfig, ServerHandle, WireOptions};
-use std::collections::HashSet;
+use gpa_serve::{
+    protocol, serve, Request, ServeClient, ServerConfig, ServerHandle, WireOptions, MAX_REACTORS,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,6 +116,8 @@ pub struct Counters {
     pub rejected: u64,
     pub byte_sheds: u64,
     pub errors: u64,
+    /// Connections each reactor accepted (`status.reactors[].accepted`).
+    pub accepted: [u64; MAX_REACTORS],
 }
 
 impl Counters {
@@ -122,6 +125,10 @@ impl Counters {
         let doc = Json::parse(frame).ok()?;
         let body = doc.get("result")?;
         let n = |a: &str, b: &str| body.get(a).and_then(|o| o.get(b)).and_then(|v| v.as_u64().ok());
+        let mut accepted = [0; MAX_REACTORS];
+        for (slot, r) in accepted.iter_mut().zip(body.get("reactors")?.as_array().ok()?) {
+            *slot = r.get("accepted")?.as_u64().ok()?;
+        }
         Some(Counters {
             hits: n("store", "hits")?,
             misses: n("store", "misses")?,
@@ -130,6 +137,7 @@ impl Counters {
             rejected: n("queue", "rejected")?,
             byte_sheds: n("reactor", "byte_sheds")?,
             errors: n("errors", "protocol")? + n("errors", "analysis")?,
+            accepted,
         })
     }
 
@@ -143,6 +151,7 @@ impl Counters {
             rejected: self.rejected - before.rejected,
             byte_sheds: self.byte_sheds - before.byte_sheds,
             errors: self.errors - before.errors,
+            accepted: std::array::from_fn(|r| self.accepted[r] - before.accepted[r]),
         }
     }
 
@@ -156,69 +165,50 @@ impl Counters {
             rejected: self.rejected + other.rejected,
             byte_sheds: self.byte_sheds + other.byte_sheds,
             errors: self.errors + other.errors,
+            accepted: std::array::from_fn(|r| self.accepted[r] + other.accepted[r]),
         }
+    }
+
+    /// The largest share of the connections accepted over a change that
+    /// one reactor took: `1 / reactors` when the kernel's `SO_REUSEPORT`
+    /// hash spread them evenly, 1 when they all landed on one reactor.
+    pub fn busiest_reactor_share(&self) -> Option<f64> {
+        let total: u64 = self.accepted.iter().sum();
+        let busiest = self.accepted.iter().copied().max()?;
+        (total > 0).then(|| busiest as f64 / total as f64)
     }
 }
 
 /// A daemon exactly as `gpa serve` builds it, on an ephemeral loopback
-/// port.
+/// port, with one connection of the benchmark's own kept for `status`,
+/// so the accept tallies between two snapshots count only the clients
+/// connected in between.
 struct Daemon {
     handle: ServerHandle,
+    probe: ServeClient,
+    /// Counters once the daemon has answered its first `status`.
+    fresh: Counters,
 }
 
 impl Daemon {
     fn start() -> Daemon {
         let config = ServerConfig { addr: "127.0.0.1:0".to_string(), ..ServerConfig::default() };
-        Daemon { handle: serve(Arc::new(Session::full()), config).expect("daemon binds loopback") }
+        let handle = serve(Arc::new(Session::full()), config).expect("daemon binds loopback");
+        let mut probe = ServeClient::connect(handle.local_addr()).expect("daemon accepts");
+        let fresh = probe
+            .request_line("{\"op\":\"status\"}")
+            .ok()
+            .and_then(Counters::parse)
+            .expect("a fresh daemon answers status with every counter");
+        Daemon { handle, probe, fresh }
     }
 
     fn connect(&self) -> ServeClient {
         ServeClient::connect(self.handle.local_addr()).expect("daemon accepts")
     }
 
-    /// `n` connections made with `connect`, spread one per reactor while
-    /// reactors remain. The kernel hashes each connection to one of the
-    /// daemon's `SO_REUSEPORT` reactors, and a collision would make a run
-    /// measure one reactor serving every client while the others idle —
-    /// a coin flip per run. A colliding connection is closed and redialed
-    /// (a new source port rehashes), at most 64 times.
-    fn connect_spread<T>(&self, n: usize, connect: impl Fn() -> T) -> Vec<T> {
-        let mut probe = self.connect();
-        let mut accepted = || -> Vec<u64> {
-            let line = probe.request_line("{\"op\":\"status\"}").expect("daemon answers status");
-            let doc = Json::parse(line).expect("status is JSON");
-            let reactors =
-                doc.get("result").and_then(|r| r.get("reactors")).and_then(|r| r.as_array().ok());
-            reactors
-                .unwrap_or_default()
-                .iter()
-                .map(|r| r.get("accepted").and_then(|a| a.as_u64().ok()).unwrap_or(0))
-                .collect()
-        };
-        let mut before = accepted();
-        let mut used = HashSet::new();
-        let mut conns = Vec::new();
-        for _ in 0..64 {
-            if conns.len() == n {
-                break;
-            }
-            let conn = connect();
-            let after = accepted();
-            let landed = (0..after.len()).find(|&r| after[r] > before.get(r).copied().unwrap_or(0));
-            before = after;
-            if used.len() >= before.len() || landed.is_none_or(|r| used.insert(r)) {
-                conns.push(conn);
-            }
-        }
-        while conns.len() < n {
-            conns.push(connect());
-        }
-        conns
-    }
-
-    fn status(&self, run: &mut Run) -> Counters {
-        let mut client = self.connect();
-        let parsed = client.request_line("{\"op\":\"status\"}").ok().and_then(Counters::parse);
+    fn status(&mut self, run: &mut Run) -> Counters {
+        let parsed = self.probe.request_line("{\"op\":\"status\"}").ok().and_then(Counters::parse);
         parsed.unwrap_or_else(|| {
             run.invalidate("status frame lacks a counter".to_string());
             Counters::default()
@@ -226,6 +216,7 @@ impl Daemon {
     }
 
     fn stop(self) {
+        drop(self.probe);
         self.handle.shutdown();
         self.handle.join();
     }
@@ -245,6 +236,8 @@ pub struct ServeTrace {
     pub unique_keys: u64,
     /// Wall time per completed request, for the tracing overhead.
     pub per_request_s: f64,
+    /// Per pass: [`Counters::busiest_reactor_share`] of its clients.
+    pub reactor_shares: Vec<f64>,
     pub chunk_docs: Vec<Json>,
 }
 

@@ -208,21 +208,18 @@ fn cold_pass(
     outcomes
 }
 
-/// A fresh daemon with an empty store, its connections spread over
-/// the reactors, and one `status` round trip.
+/// A fresh daemon with an empty store and `nproc` raw connections.
 fn cold_daemon() -> (Daemon, Vec<TcpStream>) {
     let daemon = Daemon::start();
-    let streams = daemon.connect_spread(stats::nproc(), || {
-        let s = TcpStream::connect(daemon.handle.local_addr()).expect("daemon accepts");
-        s.set_nodelay(true).expect("nodelay");
-        s.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
-        s.set_write_timeout(Some(Duration::from_secs(5))).expect("write timeout");
-        s
-    });
-    let mut client = daemon.connect();
-    let ok =
-        client.request_line("{\"op\":\"status\"}").is_ok_and(|l| l.starts_with("{\"ok\":true"));
-    assert!(ok, "fresh daemon answers status");
+    let streams = (0..stats::nproc())
+        .map(|_| {
+            let s = TcpStream::connect(daemon.handle.local_addr()).expect("daemon accepts");
+            s.set_nodelay(true).expect("nodelay");
+            s.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+            s.set_write_timeout(Some(Duration::from_secs(5))).expect("write timeout");
+            s
+        })
+        .collect();
     (daemon, streams)
 }
 
@@ -232,14 +229,14 @@ fn cold_daemon() -> (Daemon, Vec<TcpStream>) {
 pub fn arrivals(seed: u64) -> ServeRun {
     let mut run = Run::default();
     let expected = reference(&all_keys(&[false, true]));
-    let (daemon, streams) = cold_daemon();
+    let (mut daemon, streams) = cold_daemon();
     let sends = cold_schedule(&mut Rng::new(seed), expected.len());
     let last_at = sends.last().map_or(Duration::ZERO, |s| s.at);
-    let before = daemon.status(&mut run);
     let outcomes = cold_pass(streams, &sends, &expected, Instant::now(), last_at + DRAIN_LIMIT);
-    let mut trace =
-        ServeTrace { counters: daemon.status(&mut run).since(before), ..ServeTrace::default() };
+    let counters = daemon.status(&mut run).since(daemon.fresh);
     daemon.stop();
+    let reactor_shares = counters.busiest_reactor_share().into_iter().collect();
+    let mut trace = ServeTrace { counters, reactor_shares, ..ServeTrace::default() };
 
     let mut leader_body = vec![None; expected.len()];
     for (s, o) in sends.iter().zip(&outcomes) {

@@ -4,6 +4,7 @@ use super::*;
 use crate::stats::{Digest, Rng};
 use gpa_sampling::{KernelProfile, Profiler};
 use gpa_sim::SimConfig;
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// Share of logical requests that are chunked uploads.
@@ -305,16 +306,12 @@ pub fn warm(seed: u64, seconds: f64) -> ServeRun {
     let expected = reference(&all_keys(&[false]));
     let hit_frames: Vec<String> =
         expected.iter().map(|e| protocol::ok_frame(true, &e.body)).collect();
-    let (daemon, pool) = warm_setup(seed, &expected, &mut run);
+    let (mut daemon, pool) = warm_setup(seed, &expected, &mut run);
     let before = daemon.status(&mut run);
     let used = Mutex::new(HashSet::new());
     let mut rng = Rng::new(seed);
-    let clients: Vec<(ServeClient, Rng)> = daemon
-        .connect_spread(stats::nproc(), || daemon.connect())
-        .into_iter()
-        .enumerate()
-        .map(|(c, client)| (client, rng.fork(c as u64)))
-        .collect();
+    let clients: Vec<(ServeClient, Rng)> =
+        (0..stats::nproc()).map(|c| (daemon.connect(), rng.fork(c as u64))).collect();
     let ctx = WarmCtx {
         expected: &expected,
         hit_frames: &hit_frames,
@@ -337,7 +334,8 @@ pub fn warm(seed: u64, seconds: f64) -> ServeRun {
     daemon.stop();
 
     let uploads: Vec<(Upload, u64)> = logs.iter().flat_map(|l| l.uploads.iter().copied()).collect();
-    let mut trace = ServeTrace { counters, ..ServeTrace::default() };
+    let reactor_shares = counters.busiest_reactor_share().into_iter().collect();
+    let mut trace = ServeTrace { counters, reactor_shares, ..ServeTrace::default() };
     for log in logs {
         log.problems.into_iter().for_each(|p| run.op(p));
         trace.hit_rtt_ms.extend(log.hit_rtt_ms);
