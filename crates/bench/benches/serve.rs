@@ -9,14 +9,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpa_pipeline::{AnalysisJob, Session};
-use gpa_serve::{serve, serve_on, ServeClient, ServerConfig, ServerEngine};
+use gpa_serve::{serve, serve_on, ServeClient, ServerConfig};
 use std::sync::Arc;
 
 const CLIENTS: usize = 8;
 
-/// The engine-comparison concurrency level: enough connections that
-/// thread-per-connection pays real scheduler and stack cost, while the
-/// reactor keeps them all on one thread.
+/// The swarm concurrency level: enough connections that accept and
+/// frame handling dominate, while the reactors keep them all on a
+/// handful of threads.
 const SWARM: usize = 64;
 
 fn sweep(addr: std::net::SocketAddr, jobs: &[AnalysisJob]) {
@@ -67,8 +67,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
 
 /// Client threads driving the swarm. Few on purpose: with one thread
 /// per *connection* on the client too, the bench mostly measures its
-/// own 64 threads thrashing the scheduler, identically for both
-/// engines. A handful of drivers multiplexing 64 sockets keeps the
+/// own 64 threads thrashing the scheduler. A handful of drivers multiplexing 64 sockets keeps the
 /// client cheap so the measured difference is the server's.
 const DRIVERS: usize = 4;
 
@@ -77,10 +76,8 @@ const DRIVERS: usize = 4;
 /// traffic shape of real repeat users (`gpa request` connects, asks,
 /// disconnects). Per round, each driver opens its share of the 64
 /// connections, writes one frame on each, then reads the responses
-/// back, so all 64 are in flight together. Connection churn is exactly
-/// what the engines disagree on: thread-per-conn pays a thread
-/// spawn/join and registry bookkeeping per connection, the reactor an
-/// epoll registration on its one thread.
+/// back, so all 64 are in flight together; each connection costs the
+/// daemon one epoll registration.
 fn swarm_sweep(addr: std::net::SocketAddr, frames: &[String]) {
     use std::io::{BufRead, BufReader, Write};
     std::thread::scope(|scope| {
@@ -106,38 +103,36 @@ fn swarm_sweep(addr: std::net::SocketAddr, frames: &[String]) {
     });
 }
 
-/// The engine comparison behind the reactor rewrite: 64 concurrent
-/// connections of 21-app repeat (warm-store) traffic against the
-/// reactor and against the legacy thread-per-connection engine. Warm
-/// traffic never touches the worker pool, so this isolates exactly
-/// what the rewrite changed: connection and frame handling.
-fn bench_engine_swarm(c: &mut Criterion) {
-    for (name, engine) in [
-        ("serve/64_clients_21_apps_warm_reactor", ServerEngine::Reactor),
-        ("serve/64_clients_21_apps_warm_threads", ServerEngine::Threads),
-    ] {
-        let session = Arc::new(Session::test());
-        let jobs = session.jobs_for_all_apps();
-        let config =
-            ServerConfig { workers: CLIENTS, queue: 64, engine, ..ServerConfig::ephemeral() };
-        let handle = serve(session, config).expect("daemon starts");
-        let addr = handle.local_addr();
-        // Warm the store so every benched request is a cache hit.
-        sweep(addr, &jobs);
-        let frames: Vec<String> = jobs
-            .iter()
-            .map(|job| {
-                let request = gpa_serve::Request::Analyze {
-                    job: job.clone(),
-                    options: gpa_serve::WireOptions::default(),
-                };
-                format!("{}\n", request.to_wire())
-            })
-            .collect();
-        c.bench_function(name, |b| b.iter(|| swarm_sweep(addr, &frames)));
-        handle.shutdown();
-        handle.join();
-    }
+/// One newline-terminated default-options `analyze` frame per job.
+fn analyze_frames(jobs: &[AnalysisJob]) -> Vec<String> {
+    jobs.iter()
+        .map(|job| {
+            let request = gpa_serve::Request::Analyze {
+                job: job.clone(),
+                options: gpa_serve::WireOptions::default(),
+            };
+            format!("{}\n", request.to_wire())
+        })
+        .collect()
+}
+
+/// 64 concurrent connections of 21-app repeat (warm-store) traffic on
+/// the default daemon. Warm traffic never touches the worker pool, so
+/// this isolates connection and frame handling.
+fn bench_warm_swarm(c: &mut Criterion) {
+    let session = Arc::new(Session::test());
+    let jobs = session.jobs_for_all_apps();
+    let config = ServerConfig { workers: CLIENTS, queue: 64, ..ServerConfig::ephemeral() };
+    let handle = serve(session, config).expect("daemon starts");
+    let addr = handle.local_addr();
+    // Warm the store so every benched request is a cache hit.
+    sweep(addr, &jobs);
+    let frames = analyze_frames(&jobs);
+    c.bench_function("serve/64_clients_21_apps_warm_reactor", |b| {
+        b.iter(|| swarm_sweep(addr, &frames))
+    });
+    handle.shutdown();
+    handle.join();
 }
 
 /// One persistent-pipelined pass: `CLIENTS` long-lived connections,
@@ -189,16 +184,7 @@ fn bench_reactor_scaling(c: &mut Criterion) {
         );
         // Warm the store so every benched request is a cache hit.
         sweep(addr, &jobs);
-        let frames: Vec<String> = jobs
-            .iter()
-            .map(|job| {
-                let request = gpa_serve::Request::Analyze {
-                    job: job.clone(),
-                    options: gpa_serve::WireOptions::default(),
-                };
-                format!("{}\n", request.to_wire())
-            })
-            .collect();
+        let frames = analyze_frames(&jobs);
         c.bench_function(&format!("serve/swarm_64_clients_reactors_{reactors}"), |b| {
             b.iter(|| swarm_sweep(addr, &frames))
         });
@@ -238,16 +224,7 @@ fn bench_owner_down_swarm(c: &mut Criterion) {
     let jobs = session.jobs_for_all_apps();
     let addr = handles[0].local_addr();
     sweep(addr, &jobs); // warm every shard's slice of the store
-    let frames: Vec<String> = jobs
-        .iter()
-        .map(|job| {
-            let request = gpa_serve::Request::Analyze {
-                job: job.clone(),
-                options: gpa_serve::WireOptions::default(),
-            };
-            format!("{}\n", request.to_wire())
-        })
-        .collect();
+    let frames = analyze_frames(&jobs);
 
     let healthy = std::time::Instant::now();
     swarm_sweep(addr, &frames);
@@ -277,7 +254,7 @@ fn bench_owner_down_swarm(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_serve_throughput, bench_engine_swarm, bench_reactor_scaling,
+    targets = bench_serve_throughput, bench_warm_swarm, bench_reactor_scaling,
         bench_owner_down_swarm
 }
 criterion_main!(benches);

@@ -277,10 +277,10 @@ fn serve_reactors_flag_is_validated_strictly() {
     let out = gpa(&["serve", "--reactors"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--reactors requires a value"), "{}", stderr(&out));
-    // The flag configures reactor threads; the threads engine has none.
-    let out = gpa(&["serve", "--reactors", "2", "--engine", "threads"]);
+    // The reactor is the only engine; there is no engine to pick.
+    let out = gpa(&["serve", "--engine", "threads"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--reactors only applies"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown flag `--engine`"), "{}", stderr(&out));
     // And it is scoped to `serve`.
     let out = gpa(&["analyze", "rodinia/hotspot", "--reactors", "2"]);
     assert_eq!(out.status.code(), Some(2));

@@ -49,5 +49,6 @@
 pub mod job;
 pub mod session;
 
+pub use gpa_arch::{HierarchyConfig, MemModel};
 pub use job::{AnalysisError, AnalysisJob, AnalysisOutcome};
 pub use session::{ModuleArtifacts, Session};

@@ -2,7 +2,7 @@
 //! single/batch execution.
 
 use crate::{AnalysisError, AnalysisJob, AnalysisOutcome};
-use gpa_arch::{ArchConfig, LatencyTable};
+use gpa_arch::{ArchConfig, HierarchyConfig, LatencyTable, MemModel};
 use gpa_core::{AdviceRequest, Advisor, ModuleBlame};
 use gpa_kernels::apps::app_by_name;
 use gpa_kernels::{KernelSpec, Params};
@@ -111,15 +111,20 @@ impl Session {
         self
     }
 
-    /// Replaces the memory timing model ([`gpa_arch::MemModel`]) without
-    /// touching the rest of the device description. The arch *name* is
-    /// unchanged, so cached [`CompiledProgram`]s stay valid — but cached
-    /// outcomes must not mix models, so the artifact cache is cleared.
+    /// Replaces the session's default memory timing model
+    /// ([`MemModel`]) without touching the rest of the device
+    /// description.
+    ///
+    /// The artifact cache is kept: nothing cached depends on the model.
+    /// [`CompiledProgram::build`] reads only the arch name and the
+    /// [`LatencyTable`], neither of which the model changes; the memory
+    /// snapshot is whatever the spec's setup closure wrote; and the
+    /// advisor never reads `arch.mem` (the memory optimizers match on
+    /// profile stall reasons). That invariant is what lets one session
+    /// serve both models per call ([`Session::run_one_with_mem`]).
     #[must_use]
-    pub fn with_mem_model(mut self, mem: gpa_arch::MemModel) -> Self {
+    pub fn with_mem_model(mut self, mem: MemModel) -> Self {
         self.arch.mem = mem;
-        self.latency = LatencyTable::for_arch(&self.arch);
-        self.cache = Mutex::new(HashMap::new());
         self
     }
 
@@ -129,8 +134,7 @@ impl Session {
     /// [`gpa_arch::HierarchyConfig`].
     #[must_use]
     pub fn with_hierarchy(self) -> Self {
-        let mem = gpa_arch::MemModel::Hierarchy(gpa_arch::HierarchyConfig::default());
-        self.with_mem_model(mem)
+        self.with_mem_model(MemModel::Hierarchy(HierarchyConfig::default()))
     }
 
     /// Sets the session's default profiling-repeat count: every sampling
@@ -211,9 +215,11 @@ impl Session {
         self.cache.lock().expect("cache lock").len()
     }
 
-    /// A fresh simulator wired with a spec's constant bank.
-    fn gpu_for(&self, spec: &KernelSpec) -> GpuSim {
-        let mut gpu = GpuSim::new(self.arch.clone(), self.sim.clone());
+    /// A fresh simulator on the session's device under memory model
+    /// `mem`, wired with a spec's constant bank.
+    fn gpu_for(&self, spec: &KernelSpec, mem: &MemModel) -> GpuSim {
+        let arch = ArchConfig { mem: mem.clone(), ..self.arch.clone() };
+        let mut gpu = GpuSim::new(arch, self.sim.clone());
         if let Some(bank) = &spec.const_bank1 {
             gpu.set_const_bank(1, bank.clone());
         }
@@ -225,14 +231,15 @@ impl Session {
     /// the spec's setup closure and snapshots the resulting device
     /// memory; later calls clone the snapshot instead of replaying the
     /// element-wise host writes (a large share of repeat-launch cost).
-    fn armed_gpu(&self, artifacts: &ModuleArtifacts) -> (GpuSim, Vec<u8>) {
+    /// The snapshot is shared by every memory model.
+    fn armed_gpu(&self, artifacts: &ModuleArtifacts, mem: &MemModel) -> (GpuSim, Vec<u8>) {
         let spec = &artifacts.spec;
         let init = artifacts.init.get_or_init(|| {
-            let mut gpu = self.gpu_for(spec);
+            let mut gpu = self.gpu_for(spec, mem);
             let params = (spec.setup)(&mut gpu);
             MemInit { global: gpu.global().clone(), params }
         });
-        let mut gpu = self.gpu_for(spec);
+        let mut gpu = self.gpu_for(spec, mem);
         *gpu.global_mut() = init.global.clone();
         (gpu, init.params.clone())
     }
@@ -248,8 +255,9 @@ impl Session {
         job: &AnalysisJob,
         artifacts: &ModuleArtifacts,
         repeat: u32,
+        mem: &MemModel,
     ) -> Result<(KernelProfile, u64), AnalysisError> {
-        let (gpu, host_params) = self.armed_gpu(artifacts);
+        let (gpu, host_params) = self.armed_gpu(artifacts, mem);
         let mut profiler = Profiler::new(gpu);
         let (profile, result) = profiler
             .profile_repeat_compiled(
@@ -293,22 +301,9 @@ impl Session {
         &self,
         job: &AnalysisJob,
     ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
-        self.profile_one_repeat(job, self.repeat)
-    }
-
-    /// [`Session::profile_one`] with an explicit repeat count overriding
-    /// the session default (the daemon's per-request `repeat` option).
-    ///
-    /// # Errors
-    ///
-    /// Unknown app/variant, or a simulator fault.
-    pub fn profile_one_repeat(
-        &self,
-        job: &AnalysisJob,
-        repeat: u32,
-    ) -> Result<(Arc<ModuleArtifacts>, KernelProfile, u64), AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (profile, cycles) = self.sample_artifacts(job, &artifacts, repeat)?;
+        let (profile, cycles) =
+            self.sample_artifacts(job, &artifacts, self.repeat, &self.arch.mem)?;
         Ok((artifacts, profile, cycles))
     }
 
@@ -350,8 +345,28 @@ impl Session {
         request: &AdviceRequest,
         repeat: u32,
     ) -> Result<AnalysisOutcome, AnalysisError> {
+        self.run_one_with_mem(job, request, repeat, &self.arch.mem)
+    }
+
+    /// [`Session::run_one_request_repeat`] under an explicit memory
+    /// model overriding the session default (the daemon's per-request
+    /// `mem` option). Both models share this session's artifact cache
+    /// and memory snapshots (see [`Session::with_mem_model`]), and the
+    /// outcome equals that of a session built with `mem` as its default.
+    ///
+    /// # Errors
+    ///
+    /// Unknown app/variant, or a simulator fault.
+    pub fn run_one_with_mem(
+        &self,
+        job: &AnalysisJob,
+        request: &AdviceRequest,
+        repeat: u32,
+        mem: &MemModel,
+    ) -> Result<AnalysisOutcome, AnalysisError> {
         let t0 = Instant::now();
-        let (artifacts, profile, cycles) = self.profile_one_repeat(job, repeat)?;
+        let artifacts = self.artifacts(job)?;
+        let (profile, cycles) = self.sample_artifacts(job, &artifacts, repeat, mem)?;
         let report = self.advise_artifacts(&artifacts, &profile, request);
         Ok(AnalysisOutcome {
             job: job.clone(),
@@ -430,7 +445,8 @@ impl Session {
             .map_err(|e| AnalysisError::new(&job, e.to_string()))?;
         let artifacts =
             Arc::new(ModuleArtifacts { spec, structure, program, init: OnceLock::new() });
-        let (profile, cycles) = self.sample_artifacts(&job, &artifacts, self.repeat)?;
+        let (profile, cycles) =
+            self.sample_artifacts(&job, &artifacts, self.repeat, &self.arch.mem)?;
         let report = self.advise_artifacts(&artifacts, &profile, self.advisor.defaults());
         Ok(AnalysisOutcome {
             job,
@@ -451,7 +467,7 @@ impl Session {
     /// Unknown app/variant, or a simulator fault.
     pub fn time_one(&self, job: &AnalysisJob) -> Result<u64, AnalysisError> {
         let artifacts = self.artifacts(job)?;
-        let (gpu, host_params) = self.armed_gpu(&artifacts);
+        let (gpu, host_params) = self.armed_gpu(&artifacts, &self.arch.mem);
         let mut profiler = Profiler::new(gpu);
         profiler
             .time_only_compiled(&artifacts.program, &artifacts.spec.launch, &host_params)
@@ -465,7 +481,7 @@ impl Session {
     ///
     /// A simulator fault.
     pub fn time_spec(&self, spec: &KernelSpec) -> Result<u64, AnalysisError> {
-        let mut gpu = self.gpu_for(spec);
+        let mut gpu = self.gpu_for(spec, &self.arch.mem);
         let host_params = (spec.setup)(&mut gpu);
         let mut profiler = Profiler::new(gpu);
         profiler.time_only(&spec.module, &spec.entry, &spec.launch, &host_params).map_err(|e| {

@@ -21,8 +21,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! The daemon's default engine is a nonblocking epoll reactor (one
-//! thread, per-connection state machines — see `docs/serving.md`), and
+//! The daemon runs nonblocking epoll reactor threads (per-connection
+//! state machines — see `docs/serving.md`), and
 //! with `--peers` several daemons shard the report store over a
 //! consistent-hash [`Ring`], forwarding requests to their owning shard
 //! and replicating computed bodies to each shard's ring successor.
@@ -49,5 +49,5 @@ pub use protocol::{
     PeerMeta, Request, WireOptions, DEFAULT_ADDR, DEFAULT_SCHEMA, MAX_REPEAT, SCHEMA_VERSIONS,
 };
 pub use ring::{Ring, Roster};
-pub use server::{serve, serve_on, ServerConfig, ServerEngine, ServerHandle, MAX_REACTORS};
+pub use server::{serve, serve_on, ServerConfig, ServerHandle, MAX_REACTORS};
 pub use store::{ReportStore, StoreStats};

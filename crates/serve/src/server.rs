@@ -1,22 +1,23 @@
-//! The daemon: a nonblocking reactor (default) or the legacy
-//! thread-per-connection loop, over one bounded worker pool and one
-//! shared [`Session`] — optionally sharded across peers by consistent
-//! hashing.
+//! The daemon: nonblocking reactor threads over one bounded worker
+//! pool and one shared [`Session`] — optionally sharded across peers by
+//! consistent hashing.
 //!
-//! ## Engines
+//! ## Reactors
 //!
-//! * [`ServerEngine::Reactor`] — one thread drives *every* connection
-//!   through an epoll readiness loop (`reactor.rs`): each socket is a
-//!   small state machine (read-accumulate → parse frame → enqueue job →
-//!   write-drain), so thousands of idle connections cost zero threads
-//!   and no stack. Workers hand completed frames back through a
-//!   completion list plus an eventfd waker.
-//! * [`ServerEngine::Threads`] — the original model (one reader thread
-//!   per connection, blocking dispatch), kept as the bench baseline and
-//!   a fallback.
+//! Each reactor thread drives its share of the connections through an
+//! epoll readiness loop (`reactor.rs`): every socket is a small state
+//! machine (read-accumulate → parse frame → enqueue job → write-drain),
+//! so thousands of idle connections cost zero threads and no stack.
+//! Workers hand completed frames back through the owning reactor's
+//! completion list plus an eventfd waker. Every connection shares the
+//! protocol logic (`handle_line`), the worker pool, the
+//! content-addressed [`ReportStore`], and the admission rules.
 //!
-//! Both engines share the protocol logic (`handle_line`), the worker
-//! pool, the content-addressed [`ReportStore`], and the admission rules.
+//! Both memory models run on the one [`Session`]: a request's
+//! negotiated model is a per-call argument, so flat and hierarchy
+//! requests share the compiled artifacts and memory snapshots (nothing
+//! cached depends on the model) while their content addresses — and so
+//! their store entries — stay distinct.
 //!
 //! ## Admission control
 //!
@@ -25,8 +26,7 @@
 //! byte budget (reactor; shed with an error frame before parsing more),
 //! and a per-connection write-buffer gate that stops reading from a
 //! client that does not drain its responses. Idle connections past the
-//! deadline are reaped by the reactor tick (and by read timeouts in the
-//! threads engine) and counted in metrics.
+//! deadline are reaped by the reactor tick and counted in metrics.
 //!
 //! ## Cluster mode
 //!
@@ -65,39 +65,17 @@ use crate::reactor::{Event, Interest, Poller, Waker};
 use crate::ring::{Ring, Roster};
 use crate::store::ReportStore;
 use gpa_json::Json;
-use gpa_pipeline::{AnalysisJob, Session};
+use gpa_pipeline::{AnalysisJob, HierarchyConfig, MemModel, Session};
 use gpa_sampling::KernelProfile;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which connection-handling engine the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerEngine {
-    /// Nonblocking epoll reactor: one thread, per-connection state
-    /// machines. The default.
-    #[default]
-    Reactor,
-    /// Thread-per-connection with blocking dispatch: the pre-reactor
-    /// model, kept as a fallback and as the bench baseline.
-    Threads,
-}
-
-impl ServerEngine {
-    /// The engine's name as reported by `status`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerEngine::Reactor => "reactor",
-            ServerEngine::Threads => "threads",
-        }
-    }
-}
 
 /// Hard cap on reactor threads: accept-path fan-out saturates long
 /// before the worker pool does, and each reactor costs a thread, an
@@ -111,8 +89,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker-pool width.
     pub workers: usize,
-    /// Reactor-thread count for the reactor engine. `0` (the default)
-    /// picks `available_parallelism`; either way the effective count is
+    /// Reactor-thread count. `0` (the default) picks
+    /// `available_parallelism`; either way the effective count is
     /// clamped to `1..=`[`MAX_REACTORS`]. `1` reproduces the
     /// single-reactor engine exactly — byte- and behavior-identical.
     pub reactors: usize,
@@ -122,8 +100,6 @@ pub struct ServerConfig {
     pub store_capacity: usize,
     /// Optional on-disk report persistence directory.
     pub persist_dir: Option<PathBuf>,
-    /// Connection engine.
-    pub engine: ServerEngine,
     /// Peer shard addresses (cluster mode when nonempty). The ring is
     /// built over `peers ∪ {advertise}`, sorted and deduplicated, so
     /// every shard handed the same roster agrees on ownership.
@@ -161,7 +137,6 @@ impl Default for ServerConfig {
             queue: 64,
             store_capacity: 128,
             persist_dir: None,
-            engine: ServerEngine::Reactor,
             peers: Vec::new(),
             advertise: None,
             join: None,
@@ -182,20 +157,14 @@ impl ServerConfig {
 
     /// The reactor-thread count this config actually runs: `0` resolves
     /// to `available_parallelism`, and everything is clamped to
-    /// `1..=`[`MAX_REACTORS`]. Always `0` under the threads engine,
-    /// which has no reactors.
+    /// `1..=`[`MAX_REACTORS`].
     pub fn effective_reactors(&self) -> usize {
-        match self.engine {
-            ServerEngine::Threads => 0,
-            ServerEngine::Reactor => {
-                let requested = if self.reactors == 0 {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                } else {
-                    self.reactors
-                };
-                requested.clamp(1, MAX_REACTORS)
-            }
-        }
+        let requested = if self.reactors == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            self.reactors
+        };
+        requested.clamp(1, MAX_REACTORS)
     }
 }
 
@@ -213,8 +182,6 @@ enum AcceptPath {
     /// ([`serve_on`]) and reuseport-less platforms; with one reactor it
     /// is exactly the pre-multi-reactor engine.
     RoundRobin,
-    /// Threads engine: no reactors at all.
-    None,
 }
 
 impl AcceptPath {
@@ -222,30 +189,18 @@ impl AcceptPath {
         match self {
             AcceptPath::Reuseport => "reuseport",
             AcceptPath::RoundRobin => "round_robin",
-            AcceptPath::None => "none",
         }
     }
 }
 
-/// Where a worker's finished frame goes.
-enum ReplyTo {
-    /// Blocking dispatch (threads engine): the connection thread is
-    /// parked on the receiver.
-    Channel(mpsc::Sender<String>),
-    /// Reactor dispatch: push onto the owning reactor's completion
-    /// list and wake it.
-    Reactor {
-        /// The reactor that owns the connection.
-        reactor: usize,
-        /// The connection's token within that reactor.
-        token: u64,
-    },
-}
-
-/// One queued analysis request and where its frame goes back.
+/// One queued analysis request and where its frame goes back: the
+/// owning reactor's completion list, keyed by the connection's token.
 struct Work {
     request: Request,
-    reply: ReplyTo,
+    /// The reactor that owns the connection.
+    reactor: usize,
+    /// The connection's token within that reactor.
+    token: u64,
 }
 
 /// Open chunked uploads are scoped to one connection: abandoned uploads
@@ -366,10 +321,10 @@ struct Pending {
 }
 
 /// What [`handle_line`] decided: answer now, or hand to the worker
-/// pool (engine-specific — the threads engine blocks, the reactor
-/// parks the connection). The variants differ in size by the whole
-/// `Request`, but the value lives on the stack for one call only —
-/// boxing it would buy nothing but an allocation per dispatched job.
+/// pool (the reactor parks the connection until the frame comes back).
+/// The variants differ in size by the whole `Request`, but the value
+/// lives on the stack for one call only — boxing it would buy nothing
+/// but an allocation per dispatched job.
 #[allow(clippy::large_enum_variant)]
 enum Handled {
     Reply(String, Control),
@@ -504,12 +459,8 @@ struct ReactorShared {
 }
 
 struct Shared {
+    /// Serves both memory models: the hierarchy is a per-call argument.
     session: Arc<Session>,
-    /// Lazily-built twin of `session` running the timed memory
-    /// hierarchy ([`gpa_arch::MemModel::Hierarchy`]), serving requests
-    /// that negotiate `"mem": "hierarchy"`. Built on first use so
-    /// flat-only daemons pay nothing.
-    hier_session: OnceLock<Arc<Session>>,
     store: ReportStore,
     metrics: Metrics,
     queue: Mutex<VecDeque<Work>>,
@@ -517,18 +468,11 @@ struct Shared {
     queue_capacity: usize,
     workers: usize,
     persisted: bool,
-    engine: ServerEngine,
     idle_timeout: Duration,
-    max_pending_bytes: u64,
     cluster: Option<Cluster>,
     shutting_down: AtomicBool,
-    next_conn_id: AtomicU64,
-    /// Threads engine only: dup'd sockets for shutdown kicks.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
     local_addr: SocketAddr,
-    /// The reactor threads' shared surfaces, indexed by reactor id
-    /// (empty under the threads engine).
+    /// The reactor threads' shared surfaces, indexed by reactor id.
     reactors: Vec<ReactorShared>,
     /// How accepted sockets are distributed across the reactors.
     accept: AcceptPath,
@@ -545,9 +489,8 @@ struct Shared {
 /// client's `shutdown` op) stops it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    /// One thread per reactor (reactor engine) or the single blocking
-    /// accept loop (threads engine).
-    accept: Vec<JoinHandle<()>>,
+    /// One thread per reactor.
+    reactors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     replicator: Option<JoinHandle<()>>,
     cluster_worker: Option<JoinHandle<()>>,
@@ -622,16 +565,11 @@ pub fn serve_on(
             }
         }
     }
-    let path = match config.engine {
-        ServerEngine::Reactor => AcceptPath::RoundRobin,
-        ServerEngine::Threads => AcceptPath::None,
-    };
-    serve_listeners(session, vec![listener], path, config)
+    serve_listeners(session, vec![listener], AcceptPath::RoundRobin, config)
 }
 
 /// The common daemon bring-up: `listeners` is one listener per reactor
-/// ([`AcceptPath::Reuseport`]) or exactly one ([`AcceptPath::RoundRobin`]
-/// and the threads engine).
+/// ([`AcceptPath::Reuseport`]) or exactly one ([`AcceptPath::RoundRobin`]).
 fn serve_listeners(
     session: Arc<Session>,
     listeners: Vec<TcpListener>,
@@ -649,7 +587,7 @@ fn serve_listeners(
             completions: Mutex::new(Vec::new()),
             incoming: Mutex::new(Vec::new()),
             stats: ReactorStats::new(),
-            byte_budget: config.max_pending_bytes / n_reactors.max(1) as u64,
+            byte_budget: config.max_pending_bytes / n_reactors as u64,
         });
     }
     let cluster_mode =
@@ -700,7 +638,6 @@ fn serve_listeners(
     };
     let shared = Arc::new(Shared {
         session,
-        hier_session: OnceLock::new(),
         store,
         metrics: Metrics::new(),
         queue: Mutex::new(VecDeque::new()),
@@ -708,14 +645,9 @@ fn serve_listeners(
         queue_capacity: config.queue.max(1),
         workers,
         persisted: config.persist_dir.is_some(),
-        engine: config.engine,
         idle_timeout: config.idle_timeout,
-        max_pending_bytes: config.max_pending_bytes,
         cluster,
         shutting_down: AtomicBool::new(false),
-        next_conn_id: AtomicU64::new(0),
-        conns: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
         local_addr,
         reactors: reactor_shared,
         accept: accept_path,
@@ -774,39 +706,26 @@ fn serve_listeners(
                 .spawn(move || worker_loop(&sh))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    let mut listeners = listeners;
-    let accept = match config.engine {
-        ServerEngine::Reactor => {
-            // Reuseport: every reactor owns listeners[i]. Round-robin:
-            // reactor 0 owns the single listener, the rest poll only
-            // their waker and adopt handed-off sockets.
-            let mut threads = Vec::with_capacity(n_reactors);
-            for (idx, listener) in listeners
-                .drain(..)
-                .map(Some)
-                .chain(std::iter::repeat_with(|| None))
-                .take(n_reactors)
-                .enumerate()
-            {
-                let sh = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("gpa-serve-reactor-{idx}"))
-                        .spawn(move || reactor_loop(&sh, idx, listener))?,
-                );
-            }
-            threads
-        }
-        ServerEngine::Threads => {
-            let listener = listeners.remove(0);
-            let sh = Arc::clone(&shared);
-            vec![std::thread::Builder::new()
-                .name("gpa-serve-accept".to_string())
-                .spawn(move || accept_loop(&sh, &listener))?]
-        }
-    };
+    // Reuseport: every reactor owns listeners[i]. Round-robin: reactor
+    // 0 owns the single listener, the rest poll only their waker and
+    // adopt handed-off sockets.
+    let mut reactors = Vec::with_capacity(n_reactors);
+    for (idx, listener) in listeners
+        .into_iter()
+        .map(Some)
+        .chain(std::iter::repeat_with(|| None))
+        .take(n_reactors)
+        .enumerate()
+    {
+        let sh = Arc::clone(&shared);
+        reactors.push(
+            std::thread::Builder::new()
+                .name(format!("gpa-serve-reactor-{idx}"))
+                .spawn(move || reactor_loop(&sh, idx, listener))?,
+        );
+    }
     let handle =
-        ServerHandle { shared, accept, workers: worker_handles, replicator, cluster_worker };
+        ServerHandle { shared, reactors, workers: worker_handles, replicator, cluster_worker };
     if let Some(seed) = &config.join {
         // Announce to the seed and adopt its answer before reporting
         // the daemon up; a failed join tears everything down (the
@@ -877,26 +796,24 @@ impl ServerHandle {
         trigger_shutdown(&self.shared);
     }
 
-    /// How many reactor threads this daemon runs (0 under the threads
-    /// engine).
+    /// How many reactor threads this daemon runs (always at least one).
     pub fn reactors(&self) -> usize {
         self.shared.reactors.len()
     }
 
-    /// The accept path in effect: `"reuseport"`, `"round_robin"`, or
-    /// `"none"` (threads engine).
+    /// The accept path in effect: `"reuseport"` or `"round_robin"`.
     pub fn accept_path(&self) -> &'static str {
         self.shared.accept.name()
     }
 
-    /// Blocks until the daemon has fully stopped: the accept loop has
+    /// Blocks until the daemon has fully stopped: the reactors have
     /// exited, the queue is drained, and every thread is joined.
     pub fn join(mut self) {
         self.join_inner();
     }
 
     fn join_inner(&mut self) {
-        for h in self.accept.drain(..) {
+        for h in self.reactors.drain(..) {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -906,10 +823,6 @@ impl ServerHandle {
             let _ = h.join();
         }
         if let Some(h) = self.cluster_worker.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conn_threads.lock().expect("conn threads"));
-        for h in conns {
             let _ = h.join();
         }
     }
@@ -942,18 +855,10 @@ fn trigger_shutdown(shared: &Shared) {
     for reactor in &shared.reactors {
         reactor.waker.wake();
     }
-    // Unblock a threads-engine accept loop.
-    let _ = TcpStream::connect(shared.local_addr);
-    // Kick threads-engine connections out of their blocking reads.
-    // Responses already written are still delivered (FIN follows queued
-    // data).
-    for (_, conn) in shared.conns.lock().expect("conns lock").drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
 }
 
 // ---------------------------------------------------------------------
-// Shared request handling (both engines)
+// Request handling
 // ---------------------------------------------------------------------
 
 fn handle_line(shared: &Shared, state: &mut ConnState, line: &str) -> Handled {
@@ -1383,35 +1288,28 @@ fn release_upload_pcs(shared: &Shared, upload: &Upload) {
     }
 }
 
-/// Admits a request to the worker queue, or rejects it (shutdown, byte
-/// budget, queue capacity) handing the request back with the error
-/// frame to send. The rejection is boxed: `Request` is large and the
-/// happy path should not pay for its stack space.
+/// Admits a request to the worker queue on behalf of connection `token`
+/// of reactor `reactor`, or rejects it (shutdown, byte budget, queue
+/// capacity) handing the request back with the error frame to send. The
+/// rejection is boxed: `Request` is large and the happy path should not
+/// pay for its stack space.
 fn try_enqueue(
     shared: &Shared,
     request: Request,
-    reply: ReplyTo,
+    reactor: usize,
+    token: u64,
 ) -> Result<(), Box<(Request, String)>> {
     // The byte gate is per reactor: each reactor's own backlog is
     // checked against its own share of the daemon budget, so one
     // reactor's slow-client pile-up cannot shed jobs arriving on the
     // others. With one reactor the share *is* the whole budget and the
-    // gauge is the daemon gauge — same check, same frame, as ever. The
-    // threads engine has no reactors and keeps the daemon-wide gate.
-    let (pending_bytes, budget) = match &reply {
-        ReplyTo::Reactor { reactor, .. } => {
-            let rs = &shared.reactors[*reactor];
-            (rs.stats.pending_bytes.load(Ordering::Relaxed), rs.byte_budget)
-        }
-        ReplyTo::Channel(_) => {
-            (shared.metrics.pending_bytes.load(Ordering::Relaxed), shared.max_pending_bytes)
-        }
-    };
+    // gauge is the daemon gauge.
+    let rs = &shared.reactors[reactor];
+    let pending_bytes = rs.stats.pending_bytes.load(Ordering::Relaxed);
+    let budget = rs.byte_budget;
     if pending_bytes > budget {
         shared.metrics.byte_sheds.fetch_add(1, Ordering::Relaxed);
-        if let ReplyTo::Reactor { reactor, .. } = &reply {
-            shared.reactors[*reactor].stats.byte_sheds.fetch_add(1, Ordering::Relaxed);
-        }
+        rs.stats.byte_sheds.fetch_add(1, Ordering::Relaxed);
         return Err(Box::new((
             request,
             protocol::error_frame(&format!(
@@ -1435,45 +1333,10 @@ fn try_enqueue(
             )),
         )));
     }
-    queue.push_back(Work { request, reply });
+    queue.push_back(Work { request, reactor, token });
     shared.metrics.note_enqueued();
     shared.available.notify_one();
     Ok(())
-}
-
-/// The outcome of [`dispatch`]: a reply frame, or a backpressure
-/// rejection that hands the request back so stateful callers
-/// (`profile_end`) can preserve what it was built from. Same
-/// stack-transient story as [`Handled`]: boxing the returned request
-/// would cost an allocation on every rejection for no benefit.
-#[allow(clippy::large_enum_variant)]
-enum Dispatched {
-    /// A worker (or the rejection path of a worker-less op) answered.
-    Replied(String),
-    /// The queue was full or the daemon is shutting down; the request
-    /// never entered the queue.
-    Rejected {
-        /// The request, returned unconsumed.
-        request: Request,
-        /// The error frame to send.
-        frame: String,
-    },
-}
-
-/// Blocking dispatch (threads engine): pushes onto the bounded queue
-/// and waits for the frame.
-fn dispatch(shared: &Shared, request: Request) -> Dispatched {
-    let (reply, result) = mpsc::channel();
-    match try_enqueue(shared, request, ReplyTo::Channel(reply)) {
-        Err(rejection) => {
-            let (request, frame) = *rejection;
-            Dispatched::Rejected { request, frame }
-        }
-        Ok(()) => Dispatched::Replied(match result.recv() {
-            Ok(frame) => frame,
-            Err(_) => protocol::error_frame("internal error: worker abandoned the request"),
-        }),
-    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -1493,18 +1356,9 @@ fn worker_loop(shared: &Shared) {
         };
         let Some(work) = work else { break };
         let frame = execute(shared, work.request);
-        match work.reply {
-            // The connection may already be gone; that only means
-            // nobody is waiting for this frame.
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(frame);
-            }
-            ReplyTo::Reactor { reactor, token } => {
-                let rs = &shared.reactors[reactor];
-                rs.completions.lock().expect("completions").push((token, frame));
-                rs.waker.wake();
-            }
-        }
+        let rs = &shared.reactors[work.reactor];
+        rs.completions.lock().expect("completions").push((work.token, frame));
+        rs.waker.wake();
     }
 }
 
@@ -1629,27 +1483,6 @@ fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
     Some(body)
 }
 
-/// The session a request's negotiated memory model selects: the shared
-/// flat session, or (for `"mem": "hierarchy"`) its lazily-built twin
-/// with the timed L1/L2/shared servers enabled. The twin shares the
-/// device, simulator configuration, scaling parameters, and repeat
-/// count — only [`ArchConfig::mem`](gpa_arch::ArchConfig) differs.
-fn session_for(shared: &Shared, hierarchy: bool) -> &Session {
-    if !hierarchy {
-        return &shared.session;
-    }
-    shared.hier_session.get_or_init(|| {
-        let base = &shared.session;
-        let session = Session::new(
-            base.arch().clone().with_hierarchy(),
-            base.sim_config().clone(),
-            *base.params(),
-        )
-        .with_repeat(base.repeat());
-        Arc::new(session)
-    })
-}
-
 /// Computes one request on the shared session. Successful bodies go
 /// into the report store under the request's content address (which
 /// fires replication in cluster mode).
@@ -1662,8 +1495,14 @@ fn execute_local(shared: &Shared, request: Request) -> String {
     }
     match request {
         Request::Analyze { job, options } => {
-            let session = session_for(shared, options.hierarchy);
-            match session.run_one_request_repeat(&job, &options.request, options.repeat) {
+            let session = &shared.session;
+            let outcome = if options.hierarchy {
+                let mem = MemModel::Hierarchy(HierarchyConfig::default());
+                session.run_one_with_mem(&job, &options.request, options.repeat, &mem)
+            } else {
+                session.run_one_request_repeat(&job, &options.request, options.repeat)
+            };
+            match outcome {
                 Ok(outcome) => {
                     let body = protocol::analyze_body(&outcome, options.schema).compact();
                     let stored = shared.store.insert(&key.expect("analyze is cacheable"), &body);
@@ -1676,8 +1515,7 @@ fn execute_local(shared: &Shared, request: Request) -> String {
             }
         }
         Request::AnalyzeProfile { job, profile, options, .. } => {
-            let session = session_for(shared, options.hierarchy);
-            match session.advise_profile_request(&job, &profile, &options.request) {
+            match shared.session.advise_profile_request(&job, &profile, &options.request) {
                 Ok(report) => {
                     let body =
                         protocol::profile_body(&job, &profile, &report, options.schema).compact();
@@ -1855,137 +1693,6 @@ fn probe_tripped_peers(shared: &Shared) {
         }
         refresh_from(shared, &addr);
     }
-}
-
-// ---------------------------------------------------------------------
-// Threads engine (legacy; bench baseline)
-// ---------------------------------------------------------------------
-
-/// Joins connection threads that have already finished, so a long-lived
-/// daemon serving many short connections does not accumulate handles.
-fn reap_finished_connections(shared: &Shared) {
-    let mut threads = shared.conn_threads.lock().expect("conn threads");
-    let mut i = 0;
-    while i < threads.len() {
-        if threads[i].is_finished() {
-            let _ = threads.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    break;
-                }
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                // See ServeClient::connect: small frames, no Nagle.
-                let _ = stream.set_nodelay(true);
-                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().expect("conns lock").push((conn_id, clone));
-                }
-                reap_finished_connections(shared);
-                let sh = Arc::clone(shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("gpa-serve-conn".to_string())
-                    .spawn(move || connection_loop(&sh, conn_id, stream))
-                {
-                    shared.conn_threads.lock().expect("conn threads").push(handle);
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    break;
-                }
-                // Transient accept errors (e.g. EMFILE): back off briefly
-                // instead of spinning.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        shared.conns.lock().expect("conns lock").retain(|(id, _)| *id != conn_id);
-        return;
-    };
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    // The threads-engine slow-client guard: a read that sits idle past
-    // the deadline errors out (WouldBlock/TimedOut) and the connection
-    // is reaped, mirroring the reactor's sweep.
-    let _ = read_half.set_read_timeout(Some(shared.idle_timeout));
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half).take(MAX_REQUEST_BYTES);
-    let mut line = String::new();
-    let mut state = ConnState::default();
-    loop {
-        line.clear();
-        reader.set_limit(MAX_REQUEST_BYTES);
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Err(e) => {
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
-                    shared.metrics.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-            Ok(_) => {}
-        }
-        if !line.ends_with('\n') && reader.limit() == 0 {
-            // The frame hit the size cap without a newline; the stream
-            // cannot be resynced, so answer and hang up.
-            let frame = protocol::error_frame(&format!(
-                "request exceeds {MAX_REQUEST_BYTES} bytes; closing connection"
-            ));
-            let _ = writeln!(writer, "{frame}");
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = match handle_line(shared, &mut state, &line) {
-            Handled::Reply(frame, control) => (frame, control),
-            Handled::Dispatch(pending) => {
-                let frame = match dispatch(shared, pending.request) {
-                    Dispatched::Replied(frame) => {
-                        if let Some(ticket) = pending.ticket {
-                            settle_ticket(shared, ticket);
-                        }
-                        frame
-                    }
-                    Dispatched::Rejected { request, frame } => {
-                        if let Some(ticket) = pending.ticket {
-                            restore_upload(&mut state, ticket, request);
-                        }
-                        frame
-                    }
-                };
-                (frame, Control::Continue)
-            }
-        };
-        if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
-            break;
-        }
-        if matches!(control, Control::Shutdown) {
-            trigger_shutdown(shared);
-            break;
-        }
-    }
-    // Abandoned uploads die with the connection — return their share of
-    // the daemon-wide retained-PC budget.
-    for upload in state.uploads.values() {
-        release_upload_pcs(shared, upload);
-    }
-    shared.metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
-    // Deregister this connection's dup'd socket so a long-lived daemon
-    // does not hold one CLOSE_WAIT fd per past client.
-    shared.conns.lock().expect("conns lock").retain(|(id, _)| *id != conn_id);
 }
 
 // ---------------------------------------------------------------------
@@ -2213,7 +1920,7 @@ fn accept_ready(
                         *next_rr = (t + 1) % shared.reactors.len();
                         t
                     }
-                    AcceptPath::Reuseport | AcceptPath::None => idx,
+                    AcceptPath::Reuseport => idx,
                 };
                 if target != idx {
                     let peer = &shared.reactors[target];
@@ -2307,8 +2014,8 @@ fn read_ready(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
                 if conn.read_buf.len() as u64 > MAX_REQUEST_BYTES && !conn.read_buf.contains(&b'\n')
                 {
                     // One frame over the cap and no newline in sight:
-                    // the stream cannot be resynced. Same reply as the
-                    // threads engine, then hang up.
+                    // the stream cannot be resynced: answer, then hang
+                    // up.
                     shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     let frame = protocol::error_frame(&format!(
                         "request exceeds {MAX_REQUEST_BYTES} bytes; closing connection"
@@ -2367,8 +2074,7 @@ fn process_frames(shared: &Shared, conn: &mut Conn) -> bool {
         let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else { break };
         let line_bytes: Vec<u8> = conn.read_buf.drain(..=pos).collect();
         let Ok(line) = std::str::from_utf8(&line_bytes) else {
-            // The threads engine's read_line fails the same way: a
-            // non-UTF-8 frame ends the session.
+            // A non-UTF-8 frame ends the session.
             shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
             conn.push_frame(shared, &protocol::error_frame("malformed request: not UTF-8"));
             conn.close_after_drain = true;
@@ -2387,8 +2093,7 @@ fn process_frames(shared: &Shared, conn: &mut Conn) -> bool {
                 }
             }
             Handled::Dispatch(pending) => {
-                let reply = ReplyTo::Reactor { reactor: conn.reactor, token: conn.token };
-                match try_enqueue(shared, pending.request, reply) {
+                match try_enqueue(shared, pending.request, conn.reactor, conn.token) {
                     Ok(()) => {
                         conn.busy = true;
                         conn.ticket = pending.ticket;
@@ -2605,7 +2310,7 @@ fn status_body(shared: &Shared) -> Json {
     let st = shared.store.stats();
     let mut body = Json::object()
         .with("uptime_ms", m.uptime_ms())
-        .with("engine", shared.engine.name())
+        .with("engine", "reactor")
         .with("workers", shared.workers)
         .with(
             "schemas",

@@ -7,12 +7,12 @@
 //! store (cache hits observable via `status`), a full queue rejects
 //! instead of growing, and shutdown is clean.
 
-use gpa::core::schema;
+use gpa::core::{schema, Advisor, OptimizerId, OptimizerRegistry};
 use gpa::json::Json;
 use gpa::pipeline::{AnalysisJob, Session};
 use gpa::serve::{
     protocol, serve, serve_on, FaultPlan, PeerMeta, Request, Ring, ServeClient, ServerConfig,
-    ServerEngine, WireOptions,
+    WireOptions,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -719,24 +719,101 @@ fn client_read_timeout_bounds_a_slow_daemon() {
     handle.join();
 }
 
-/// The legacy thread-per-connection engine stays wire-compatible (it is
-/// the bench baseline): same bytes, same cache behavior, clean shutdown.
+// ---------------------------------------------------------------------
+// Memory models
+// ---------------------------------------------------------------------
+
+/// Default wire options negotiating the timed memory hierarchy.
+fn hierarchy_options() -> WireOptions {
+    WireOptions { hierarchy: true, ..WireOptions::default() }
+}
+
+/// What an in-process session renders for a daemon `analyze` with
+/// `options`, through the same per-call path the daemon takes.
+fn in_process_analyze(session: &Session, job: &AnalysisJob, options: &WireOptions) -> String {
+    let outcome = session
+        .run_one_request_repeat(job, &options.request, options.repeat)
+        .expect("in-process run");
+    protocol::analyze_body(&outcome, options.schema).compact()
+}
+
+/// A restricted optimizer catalog (parallel optimizers only).
+fn parallel_only_advisor() -> Advisor {
+    Advisor::builder()
+        .registry(OptimizerRegistry::of(&[OptimizerId::ThreadIncrease, OptimizerId::BlockIncrease]))
+        .build()
+}
+
+/// An embedder's custom [`Advisor`] shapes `"mem": "hierarchy"`
+/// answers exactly as it shapes flat ones: the daemon serves both
+/// models from the one session it was handed.
 #[test]
-fn threads_engine_remains_byte_compatible() {
-    let config = ServerConfig { engine: ServerEngine::Threads, ..ephemeral() };
-    let handle = test_server(config);
-    let reference = Session::test();
+fn custom_advisor_is_honoured_under_the_hierarchy() {
+    let session = Session::test().with_advisor(parallel_only_advisor());
+    let handle = serve(Arc::new(session), ephemeral()).expect("daemon binds");
+    let reference = Session::test().with_advisor(parallel_only_advisor()).with_hierarchy();
+    let job = AnalysisJob::new("rodinia/gaussian", 0);
+    let options = hierarchy_options();
     let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    for app in ["rodinia/hotspot", "rodinia/gaussian"] {
+    let r = client.analyze_with(&job.app, job.variant, &options).expect("analyze");
+    assert!(r.ok, "{:?}", r.error);
+    assert_eq!(
+        r.result.unwrap().compact(),
+        in_process_analyze(&reference, &job, &options),
+        "the hierarchy answer comes from the custom catalog"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+/// The daemon's hierarchy path: `analyze` and `analyze_profile` under
+/// `"mem": "hierarchy"` match an in-process hierarchy session byte for
+/// byte, flat and hierarchy answers occupy separate store entries, and
+/// both models share one artifact cache (one module per app, not two).
+#[test]
+fn hierarchy_requests_match_in_process_and_share_the_artifact_cache() {
+    let served = Arc::new(Session::test());
+    let handle = serve(Arc::clone(&served), ephemeral()).expect("daemon binds");
+    let flat = Session::test();
+    let hier = Session::test().with_hierarchy();
+    let apps = ["rodinia/hotspot", "rodinia/nw"];
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    for (built, app) in apps.into_iter().enumerate() {
         let job = AnalysisJob::new(app, 0);
-        let r = client.analyze(app, 0).expect("analyze");
+        let mut bodies = Vec::new();
+        for (session, options) in [(&hier, hierarchy_options()), (&flat, WireOptions::default())] {
+            let expected = in_process_analyze(session, &job, &options);
+            let r = client.analyze_with(app, 0, &options).expect("analyze");
+            assert!(r.ok && !r.cached, "{app}: first ask computes: {:?}", r.error);
+            assert_eq!(
+                r.result.unwrap().compact(),
+                expected,
+                "{app} hierarchy={}",
+                options.hierarchy
+            );
+            let again = client.analyze_with(app, 0, &options).expect("repeat");
+            assert!(again.cached, "{app}: the repeat hits its own model's entry");
+            assert_eq!(again.result.unwrap().compact(), expected);
+            // The hierarchy ask came first: it built the served
+            // session's own artifacts, which the flat ask then reuses.
+            assert_eq!(served.cached_modules(), built + 1, "{app}: one artifact set");
+            bodies.push(expected);
+        }
+        assert_ne!(bodies[0], bodies[1], "{app}: the memory model shapes the answer");
+
+        let (_, profile, _) = hier.profile_one(&job).expect("hierarchy profiling");
+        let profile_doc = Json::parse(&profile.to_json()).expect("profile serializes");
+        let options = hierarchy_options();
+        let r = client.analyze_profile_with(app, 0, &profile_doc, &options).expect("request");
         assert!(r.ok, "{:?}", r.error);
-        assert_eq!(r.result.unwrap().compact(), reference_body(&reference, &job));
-        let again = client.analyze(app, 0).expect("repeat");
-        assert!(again.cached, "store works under the threads engine");
+        let report = hier.advise_profile_request(&job, &profile, &options.request).unwrap();
+        let expected = protocol::profile_body(&job, &profile, &report, options.schema).compact();
+        assert_eq!(r.result.unwrap().compact(), expected, "{app} analyze_profile");
     }
     let status = client.status().expect("status").into_result().expect("ok");
-    assert_eq!(status.field("engine").unwrap().as_str().unwrap(), "threads");
+    let entries = status.field("store").unwrap().field("entries").unwrap().as_u64().unwrap();
+    assert_eq!(entries, 3 * apps.len() as u64, "flat, hierarchy and profile entries per app");
+    assert_eq!(served.cached_modules(), apps.len(), "one artifact set per app, both models");
     handle.shutdown();
     handle.join();
 }
