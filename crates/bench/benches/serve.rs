@@ -177,11 +177,7 @@ fn bench_reactor_scaling(c: &mut Criterion) {
             ServerConfig { workers: CLIENTS, queue: 64, reactors, ..ServerConfig::ephemeral() };
         let handle = serve(session, config).expect("daemon starts");
         let addr = handle.local_addr();
-        println!(
-            "serve bench: {} reactor(s) ({} accept) on {addr}",
-            handle.reactors(),
-            handle.accept_path()
-        );
+        println!("serve bench: {} reactor(s) on {addr}", handle.reactors());
         // Warm the store so every benched request is a cache hit.
         sweep(addr, &jobs);
         let frames = analyze_frames(&jobs);

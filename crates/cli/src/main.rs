@@ -535,7 +535,7 @@ fn run_serve(flags: &Flags) -> ExitCode {
     println!("gpa-serve listening on {} ({workers} workers, queue {queue})", handle.local_addr());
     // The *effective* count: a request above the cap (or `0` = auto)
     // reports what actually runs, matching `status.reactor.count`.
-    println!("gpa-serve reactors: {} ({} accept)", handle.reactors(), handle.accept_path());
+    println!("gpa-serve reactors: {}", handle.reactors());
     if peer_count > 0 {
         println!("gpa-serve sharding with {peer_count} peer(s)");
     }

@@ -777,9 +777,16 @@ pub fn parse_stale_epoch(frame: &str) -> Option<(u64, Vec<String>)> {
     if !doc.get("stale_epoch")?.as_bool().ok()? {
         return None;
     }
-    let ring = doc.get("ring")?;
-    let epoch = ring.get("epoch")?.as_u64().ok()?;
-    let members = ring
+    parse_roster(doc.get("ring")?)
+}
+
+/// Reads a `{epoch, members}` roster object — the `join` and
+/// `ring_status` results and a stale-epoch frame's `ring`. `None` when
+/// the epoch or the member list is missing or mistyped; non-string
+/// members are skipped.
+pub fn parse_roster(roster: &Json) -> Option<(u64, Vec<String>)> {
+    let epoch = roster.get("epoch")?.as_u64().ok()?;
+    let members = roster
         .get("members")?
         .as_array()
         .ok()?
@@ -1033,7 +1040,7 @@ mod tests {
     fn parses_the_peer_store_ops() {
         // Content addresses contain NUL separators; they must survive
         // the wire as escaped JSON strings.
-        let key = "analyze\0rodinia/nw\00\0s1|r1|t-|c|o|m1.001|h5|e1";
+        let key = "analyze\0rodinia/nw\x000\0s1|r1|t-|c|o|m1.001|h5|e1";
         let get = Request::StoreGet { key: key.to_string() };
         let parsed = Request::parse(&get.to_wire()).unwrap();
         let Request::StoreGet { key: parsed_key } = parsed else { panic!("wrong parse") };
@@ -1135,6 +1142,15 @@ mod tests {
         assert!(parse_stale_epoch(&error_frame("boom")).is_none());
         assert!(parse_stale_epoch(&ok_frame(false, "{}")).is_none());
         assert!(parse_stale_epoch("not json").is_none());
+    }
+
+    #[test]
+    fn roster_objects_need_an_epoch_and_a_member_list() {
+        let roster = Json::parse(r#"{"epoch":3,"members":["a:1",5,"b:2"]}"#).unwrap();
+        assert_eq!(parse_roster(&roster), Some((3, vec!["a:1".to_string(), "b:2".to_string()])));
+        for bad in [r#"{"members":[]}"#, r#"{"epoch":"3","members":[]}"#, r#"{"epoch":3}"#] {
+            assert!(parse_roster(&Json::parse(bad).unwrap()).is_none(), "{bad}");
+        }
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! which are readable/writable, and the per-connection state machines
 //! advance without ever blocking on I/O. std already links libc on
 //! Unix, so the syscalls are bound directly with `extern "C"` — no new
-//! crate dependencies. The same raw-binding style covers
-//! [`reuseport_listener`], the `SO_REUSEPORT` accept path that lets
-//! every reactor own its own listener on one shared port.
+//! crate dependencies.
 //!
 //! Everything is **level-triggered**: a socket with unread bytes (or
 //! writable space while we still have bytes queued) reports ready on
@@ -22,8 +20,7 @@
 //! budget) so the spurious set stays small.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::os::fd::{FromRawFd, OwnedFd, RawFd};
+use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_uint, c_void};
 
 const EPOLL_CLOEXEC: c_int = 0x80000;
@@ -42,17 +39,6 @@ const EFD_CLOEXEC: c_int = 0x80000;
 
 const EINTR: i32 = 4;
 
-const AF_INET: c_int = 2;
-const AF_INET6: c_int = 10;
-const SOCK_STREAM: c_int = 1;
-const SOCK_CLOEXEC: c_int = 0x80000;
-const SOL_SOCKET: c_int = 1;
-const SO_REUSEPORT: c_int = 15;
-
-/// Accept backlog for reuseport listeners; matches what std passes to
-/// `listen(2)` for `TcpListener::bind`.
-const LISTEN_BACKLOG: c_int = 128;
-
 /// Mirrors `struct epoll_event`. On x86-64 the kernel ABI packs the
 /// struct (no padding between `events` and `data`); other Linux
 /// targets use natural alignment.
@@ -64,27 +50,6 @@ struct EpollEvent {
     data: u64,
 }
 
-/// Mirrors `struct sockaddr_in` (fields in network byte order).
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct SockaddrIn {
-    family: u16,
-    port: u16,
-    addr: u32,
-    zero: [u8; 8],
-}
-
-/// Mirrors `struct sockaddr_in6` (fields in network byte order).
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct SockaddrIn6 {
-    family: u16,
-    port: u16,
-    flowinfo: u32,
-    addr: [u8; 16],
-    scope_id: u32,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -93,11 +58,6 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: c_uint)
-        -> c_int;
-    fn bind(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
-    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 fn check(ret: c_int) -> io::Result<c_int> {
@@ -106,80 +66,6 @@ fn check(ret: c_int) -> io::Result<c_int> {
     } else {
         Ok(ret)
     }
-}
-
-/// Binds a listener with `SO_REUSEPORT` set, so several listeners can
-/// share one address and the kernel load-balances incoming connections
-/// across them — the accept path of the multi-reactor engine. Every
-/// listener in a group must be created this way (the option has to be
-/// set *before* `bind`, which is why `std`'s `TcpListener::bind` cannot
-/// do it), so joining a port owned by a non-reuseport socket fails with
-/// `EADDRINUSE` and the caller falls back to single-listener accept.
-///
-/// # Errors
-///
-/// Any failing syscall of the socket/setsockopt/bind/listen sequence.
-pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
-    let domain = match addr {
-        SocketAddr::V4(_) => AF_INET,
-        SocketAddr::V6(_) => AF_INET6,
-    };
-    // SAFETY: no pointers involved; the return value is checked.
-    let fd = check(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
-    // SAFETY: `fd` is a fresh socket this function owns; wrapping it
-    // first means every early return below closes it.
-    let sock = unsafe { OwnedFd::from_raw_fd(fd) };
-    let one: c_int = 1;
-    // SAFETY: passes a live c_int of the stated size.
-    check(unsafe {
-        setsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_REUSEPORT,
-            (&raw const one).cast::<c_void>(),
-            std::mem::size_of::<c_int>() as c_uint,
-        )
-    })?;
-    match addr {
-        SocketAddr::V4(v4) => {
-            let sa = SockaddrIn {
-                family: AF_INET as u16,
-                port: v4.port().to_be(),
-                addr: u32::from(*v4.ip()).to_be(),
-                zero: [0; 8],
-            };
-            // SAFETY: passes a live sockaddr_in of the stated size.
-            check(unsafe {
-                bind(
-                    fd,
-                    (&raw const sa).cast::<c_void>(),
-                    std::mem::size_of::<SockaddrIn>() as c_uint,
-                )
-            })?;
-        }
-        SocketAddr::V6(v6) => {
-            let sa = SockaddrIn6 {
-                family: AF_INET6 as u16,
-                port: v6.port().to_be(),
-                // flowinfo and scope_id stay in host order (matching
-                // std's sockaddr conversion); only port/addr are BE.
-                flowinfo: v6.flowinfo(),
-                addr: v6.ip().octets(),
-                scope_id: v6.scope_id(),
-            };
-            // SAFETY: passes a live sockaddr_in6 of the stated size.
-            check(unsafe {
-                bind(
-                    fd,
-                    (&raw const sa).cast::<c_void>(),
-                    std::mem::size_of::<SockaddrIn6>() as c_uint,
-                )
-            })?;
-        }
-    }
-    // SAFETY: no pointers involved; the return value is checked.
-    check(unsafe { listen(fd, LISTEN_BACKLOG) })?;
-    Ok(TcpListener::from(sock))
 }
 
 /// What a registration wants to hear about. Readiness for reading is
@@ -413,49 +299,6 @@ mod tests {
         events.clear();
         poller.delete(b.as_raw_fd()).unwrap();
         assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn reuseport_group_shares_one_port_and_both_listeners_accept() {
-        let first = reuseport_listener("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        let second = reuseport_listener(addr).unwrap();
-        assert_eq!(second.local_addr().unwrap(), addr);
-        first.set_nonblocking(true).unwrap();
-        second.set_nonblocking(true).unwrap();
-        // The kernel picks a group member per connection 4-tuple hash;
-        // 64 distinct source ports make "one listener got everything"
-        // a ~2^-63 event.
-        let conns: Vec<std::net::TcpStream> =
-            (0..64).map(|_| std::net::TcpStream::connect(addr).unwrap()).collect();
-        let drain = |l: &std::net::TcpListener| {
-            let mut n = 0;
-            while l.accept().is_ok() {
-                n += 1;
-            }
-            n
-        };
-        // Accepts may trail the connects briefly; poll until all 64
-        // have landed.
-        let (mut a, mut b) = (0, 0);
-        for _ in 0..200 {
-            a += drain(&first);
-            b += drain(&second);
-            if a + b == conns.len() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(a + b, conns.len());
-        assert!(a > 0 && b > 0, "kernel balanced {a}/{b} across the group");
-    }
-
-    #[test]
-    fn reuseport_cannot_join_a_port_bound_without_it() {
-        let plain = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = plain.local_addr().unwrap();
-        // The fallback trigger for `serve_on` with an external listener.
-        assert!(reuseport_listener(addr).is_err());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! epoll readiness loop (`reactor.rs`): every socket is a small state
 //! machine (read-accumulate → parse frame → enqueue job → write-drain),
 //! so thousands of idle connections cost zero threads and no stack.
+//! Reactor 0 owns the one listener and deals accepted sockets to the
+//! reactors in turn, itself included.
 //! Workers hand completed frames back through the owning reactor's
 //! completion list plus an eventfd waker. Every connection shares the
 //! protocol logic (`handle_line`), the worker pool, the
@@ -165,31 +167,6 @@ impl ServerConfig {
             self.reactors
         };
         requested.clamp(1, MAX_REACTORS)
-    }
-}
-
-/// How accepted sockets reach their reactor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AcceptPath {
-    /// Every reactor owns its own `SO_REUSEPORT` listener on the shared
-    /// port; the kernel load-balances connections across the group. The
-    /// default whenever the daemon binds its own sockets and the
-    /// platform takes the option.
-    Reuseport,
-    /// One listener, owned by reactor 0, which accepts everything and
-    /// round-robins the sockets to the other reactors through their
-    /// wakers. The fallback for externally-bound listeners
-    /// ([`serve_on`]) and reuseport-less platforms; with one reactor it
-    /// is exactly the pre-multi-reactor engine.
-    RoundRobin,
-}
-
-impl AcceptPath {
-    fn name(self) -> &'static str {
-        match self {
-            AcceptPath::Reuseport => "reuseport",
-            AcceptPath::RoundRobin => "round_robin",
-        }
     }
 }
 
@@ -437,7 +414,7 @@ impl Cluster {
 }
 
 /// One reactor thread's cross-thread surface: the handles workers (and
-/// the round-robin acceptor) use to reach it. Everything thread-local
+/// the acceptor on reactor 0) use to reach it. Everything thread-local
 /// to the reactor — poller, connection table, buffer pool — lives on
 /// its stack in [`reactor_loop`].
 struct ReactorShared {
@@ -446,8 +423,8 @@ struct ReactorShared {
     waker: Waker,
     /// Worker → reactor finished frames, drained every loop turn.
     completions: Mutex<Vec<(u64, String)>>,
-    /// Sockets accepted elsewhere (round-robin path) waiting for this
-    /// reactor to register them.
+    /// Sockets reactor 0 accepted for this reactor, waiting to be
+    /// registered.
     incoming: Mutex<Vec<TcpStream>>,
     /// This reactor's counters (the `status.reactors` entry).
     stats: ReactorStats,
@@ -474,8 +451,6 @@ struct Shared {
     local_addr: SocketAddr,
     /// The reactor threads' shared surfaces, indexed by reactor id.
     reactors: Vec<ReactorShared>,
-    /// How accepted sockets are distributed across the reactors.
-    accept: AcceptPath,
     /// PC entries currently retained by open uploads, daemon-wide
     /// (see [`MAX_TOTAL_UPLOAD_PCS`]). Approximate accounting —
     /// relaxed atomics — is fine for a resource budget.
@@ -503,46 +478,16 @@ pub struct ServerHandle {
 /// When the address cannot be bound or the persist directory cannot be
 /// created.
 pub fn serve(session: Arc<Session>, config: ServerConfig) -> io::Result<ServerHandle> {
-    let n = config.effective_reactors();
-    if n > 1 {
-        // Multi-reactor default: one SO_REUSEPORT listener per reactor,
-        // kernel-balanced. Falls back to the single-listener round-robin
-        // path below when the platform refuses the option (or the
-        // address itself is unusable — in which case the plain bind
-        // reports the real error).
-        if let Ok(listeners) = bind_reuseport_group(&config.addr, n) {
-            return serve_listeners(session, listeners, AcceptPath::Reuseport, config);
-        }
-    }
     let listener = TcpListener::bind(&config.addr)?;
     serve_on(session, listener, config)
-}
-
-/// Binds `count` `SO_REUSEPORT` listeners on one address (resolving an
-/// ephemeral port once, with the first bind).
-fn bind_reuseport_group(addr: &str, count: usize) -> io::Result<Vec<TcpListener>> {
-    use std::net::ToSocketAddrs;
-    let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
-    })?;
-    let first = crate::reactor::reuseport_listener(target)?;
-    let local = first.local_addr()?;
-    let mut group = vec![first];
-    for _ in 1..count {
-        group.push(crate::reactor::reuseport_listener(local)?);
-    }
-    Ok(group)
 }
 
 /// Starts the daemon on an already-bound listener. This is how cluster
 /// tests bootstrap: bind every shard first (learning the ephemeral
 /// ports), then start each daemon with the full peer roster.
 ///
-/// With more than one reactor configured, the daemon first tries to
-/// grow the listener into an `SO_REUSEPORT` group; an externally-bound
-/// listener normally lacks the option (it must be set before `bind`),
-/// so the attempt fails cleanly and reactor 0 becomes the single
-/// acceptor, round-robining sockets to its siblings.
+/// Reactor 0 owns the listener: it accepts every connection and
+/// round-robins the sockets over all reactors, itself included.
 ///
 /// # Errors
 ///
@@ -553,31 +498,8 @@ pub fn serve_on(
     listener: TcpListener,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    let n = config.effective_reactors();
-    if n > 1 {
-        if let Ok(local) = listener.local_addr() {
-            if local.port() != 0 {
-                if let Ok(siblings) = bind_reuseport_group(&local.to_string(), n - 1) {
-                    let mut listeners = vec![listener];
-                    listeners.extend(siblings);
-                    return serve_listeners(session, listeners, AcceptPath::Reuseport, config);
-                }
-            }
-        }
-    }
-    serve_listeners(session, vec![listener], AcceptPath::RoundRobin, config)
-}
-
-/// The common daemon bring-up: `listeners` is one listener per reactor
-/// ([`AcceptPath::Reuseport`]) or exactly one ([`AcceptPath::RoundRobin`]).
-fn serve_listeners(
-    session: Arc<Session>,
-    listeners: Vec<TcpListener>,
-    accept_path: AcceptPath,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
     let store = ReportStore::new(config.store_capacity, config.persist_dir.clone())?;
-    let local_addr = listeners[0].local_addr()?;
+    let local_addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let n_reactors = config.effective_reactors();
     let mut reactor_shared = Vec::with_capacity(n_reactors);
@@ -650,7 +572,6 @@ fn serve_listeners(
         shutting_down: AtomicBool::new(false),
         local_addr,
         reactors: reactor_shared,
-        accept: accept_path,
         upload_pcs: AtomicU64::new(0),
     });
     if shared.cluster.is_some() {
@@ -706,18 +627,13 @@ fn serve_listeners(
                 .spawn(move || worker_loop(&sh))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    // Reuseport: every reactor owns listeners[i]. Round-robin: reactor
-    // 0 owns the single listener, the rest poll only their waker and
+    // Reactor 0 owns the listener; the rest poll only their waker and
     // adopt handed-off sockets.
+    let mut listener = Some(listener);
     let mut reactors = Vec::with_capacity(n_reactors);
-    for (idx, listener) in listeners
-        .into_iter()
-        .map(Some)
-        .chain(std::iter::repeat_with(|| None))
-        .take(n_reactors)
-        .enumerate()
-    {
+    for idx in 0..n_reactors {
         let sh = Arc::clone(&shared);
+        let listener = listener.take();
         reactors.push(
             std::thread::Builder::new()
                 .name(format!("gpa-serve-reactor-{idx}"))
@@ -756,16 +672,10 @@ fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
     if !reply.get("ok").and_then(|v| v.as_bool().ok()).unwrap_or(false) {
         return Err(bad("not an ok frame"));
     }
-    let result = reply.get("result").ok_or_else(|| bad("no result"))?;
-    let epoch =
-        result.get("epoch").and_then(|v| v.as_u64().ok()).ok_or_else(|| bad("no roster epoch"))?;
-    let members: Vec<String> = result
-        .get("members")
-        .and_then(|v| v.as_array().ok())
-        .ok_or_else(|| bad("no member list"))?
-        .iter()
-        .filter_map(|v| v.as_str().ok().map(str::to_string))
-        .collect();
+    let (epoch, members) = reply
+        .get("result")
+        .and_then(protocol::parse_roster)
+        .ok_or_else(|| bad("no roster result"))?;
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
     } else {
@@ -799,11 +709,6 @@ impl ServerHandle {
     /// How many reactor threads this daemon runs (always at least one).
     pub fn reactors(&self) -> usize {
         self.shared.reactors.len()
-    }
-
-    /// The accept path in effect: `"reuseport"` or `"round_robin"`.
-    pub fn accept_path(&self) -> &'static str {
-        self.shared.accept.name()
     }
 
     /// Blocks until the daemon has fully stopped: the reactors have
@@ -1646,11 +1551,9 @@ fn refresh_from(shared: &Shared, addr: &str) {
     if !reply.get("ok").and_then(|v| v.as_bool().ok()).unwrap_or(false) {
         return;
     }
-    let Some(result) = reply.get("result") else { return };
-    let Some(epoch) = result.get("epoch").and_then(|v| v.as_u64().ok()) else { return };
-    let Some(members) = result.get("members").and_then(|v| v.as_array().ok()) else { return };
-    let members: Vec<String> =
-        members.iter().filter_map(|v| v.as_str().ok().map(str::to_string)).collect();
+    let Some((epoch, members)) = reply.get("result").and_then(protocol::parse_roster) else {
+        return;
+    };
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
         cluster.schedule(ClusterTask::Handoff);
@@ -1809,10 +1712,9 @@ impl BufferPool {
 }
 
 /// One reactor thread: owns its poller, its connection table, its
-/// buffer pool, and (reuseport, or reactor 0 under round-robin) a
-/// listener; loops on readiness events, a completion list fed by
-/// workers, handed-off sockets from the round-robin acceptor, and a
-/// periodic tick for the idle sweep.
+/// buffer pool, and (reactor 0 only) the listener; loops on readiness
+/// events, a completion list fed by workers, sockets handed off by the
+/// acceptor, and a periodic tick for the idle sweep.
 fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>) {
     let rs = &shared.reactors[idx];
     let Ok(poller) = Poller::new() else { return };
@@ -1833,7 +1735,7 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
     let mut scratch = [0u8; 16 * 1024];
     let mut pool = BufferPool::new();
     // Round-robin cursor (the acceptor rotates over every reactor,
-    // itself included). Unused on the reuseport path.
+    // itself included).
     let mut next_rr = idx;
 
     loop {
@@ -1879,9 +1781,9 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
                 }
             }
         }
-        // Sockets the round-robin acceptor handed over, then worker
-        // completions — both can land without their waker event being
-        // in this batch; drain unconditionally (uncontended locks).
+        // Sockets the acceptor handed over, then worker completions —
+        // both can land without their waker event being in this batch;
+        // drain unconditionally (uncontended locks).
         adopt_incoming(shared, idx, &poller, &mut conns, &mut next_token, &mut pool);
         deliver_completions(shared, idx, &poller, &mut conns, &mut pool);
         sweep_idle(shared, &poller, &mut conns, &mut pool);
@@ -1889,14 +1791,17 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
             break;
         }
     }
+    // Close the listener before draining: left registered it would
+    // report every late connect as ready on each wait (the drain never
+    // accepts), spinning the loop while the client hangs in the backlog.
+    drop(listener);
     drain_and_close(shared, idx, &poller, &mut conns, &mut pool);
 }
 
 /// Accepts everything pending on the listener; each socket is either
-/// registered here (reuseport — the kernel already balanced it to this
-/// reactor; round-robin when the rotation lands on the acceptor
-/// itself) or handed to the rotation's next reactor through its
-/// `incoming` list and waker.
+/// registered here (when the rotation lands on the acceptor itself) or
+/// handed to the rotation's next reactor through its `incoming` list
+/// and waker.
 #[allow(clippy::too_many_arguments)]
 fn accept_ready(
     shared: &Shared,
@@ -1914,14 +1819,8 @@ fn accept_ready(
                 if shared.shutting_down.load(Ordering::Acquire) {
                     return;
                 }
-                let target = match shared.accept {
-                    AcceptPath::RoundRobin => {
-                        let t = *next_rr % shared.reactors.len();
-                        *next_rr = (t + 1) % shared.reactors.len();
-                        t
-                    }
-                    AcceptPath::Reuseport => idx,
-                };
+                let target = *next_rr;
+                *next_rr = (target + 1) % shared.reactors.len();
                 if target != idx {
                     let peer = &shared.reactors[target];
                     peer.incoming.lock().expect("incoming").push(stream);
@@ -1937,8 +1836,8 @@ fn accept_ready(
     }
 }
 
-/// Registers handed-off sockets from the round-robin acceptor into
-/// this reactor's connection table.
+/// Registers sockets handed off by the acceptor into this reactor's
+/// connection table.
 fn adopt_incoming(
     shared: &Shared,
     idx: usize,
@@ -2320,12 +2219,7 @@ fn status_body(shared: &Shared) -> Json {
         )
         .with("connections", m.connections.load(Ordering::Relaxed))
         .with("ops", m.ops_json())
-        .with(
-            "reactor",
-            m.reactor_json()
-                .with("count", shared.reactors.len())
-                .with("accept", shared.accept.name()),
-        )
+        .with("reactor", m.reactor_json().with("count", shared.reactors.len()))
         .with(
             "reactors",
             Json::Arr(shared.reactors.iter().map(|r| r.stats.json(r.byte_budget)).collect()),
