@@ -8,7 +8,9 @@
 //! program reuse path. The `sampling/*` group measures the streaming
 //! measurement layer: the default at-source aggregating `SampleSink`
 //! against the old raw-buffered `Vec<RawSample>` path on a sample-heavy
-//! run. Quick mode for CI: set `GPA_BENCH_SAMPLES=3`.
+//! run. The `sim/full/*` and `kernels/full/*` rows time the production
+//! `Params::full()` configuration: per-app simulate cost and the
+//! host-side input upload. Quick mode for CI: set `GPA_BENCH_SAMPLES=3`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpa_arch::{ArchConfig, LatencyTable, LaunchConfig};
@@ -16,7 +18,7 @@ use gpa_core::{Advisor, ModuleBlame};
 use gpa_isa::parse_module;
 use gpa_kernels::apps;
 use gpa_kernels::runner::{
-    arch_for, launch_spec_with, launch_spec_with_sink, run_spec, sim_config,
+    arch_for, armed_gpu_with, launch_spec_with, launch_spec_with_sink, run_spec, sim_config,
 };
 use gpa_kernels::{KernelSpec, Params};
 use gpa_sampling::KernelProfile;
@@ -191,6 +193,28 @@ fn bench_flat_vs_hierarchy(c: &mut Criterion) {
     }
 }
 
+/// The production configuration (`Params::full()`, what the CLI and the
+/// daemon run): simulate cost of the two apps that dominate a full
+/// sweep, launching a program compiled once, plus the host-side input
+/// upload (`armed_gpu_with`) that arms every run.
+fn bench_full_params(c: &mut Criterion) {
+    let p = Params::full();
+    let arch = arch_for(&p);
+    for (label, app) in [("pathfinder", apps::pathfinder::app()), ("myocyte", apps::myocyte::app())]
+    {
+        let spec = (app.build)(0, &p);
+        let (mut gpu, params) = armed_gpu_with(&spec, &arch, sim_config());
+        let prog = gpu.compile(&spec.module, &spec.entry).expect("compiles");
+        c.bench_function(&format!("sim/full/{label}_launch"), |b| {
+            b.iter(|| gpu.launch_compiled(&prog, &spec.launch, &params).expect("launch"))
+        });
+    }
+    let spec = (apps::pathfinder::app().build)(0, &p);
+    c.bench_function("kernels/full/pathfinder_setup", |b| {
+        b.iter(|| armed_gpu_with(&spec, &arch, sim_config()))
+    });
+}
+
 fn bench_blamer(c: &mut Criterion) {
     let p = Params::test();
     let arch = arch_for(&p);
@@ -228,7 +252,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_simulator, bench_dense_vs_event, bench_long_latency, bench_compiled_reuse,
-        bench_sampling_sink, bench_flat_vs_hierarchy, bench_blamer, bench_advisor,
-        bench_static_analysis
+        bench_sampling_sink, bench_flat_vs_hierarchy, bench_full_params, bench_blamer,
+        bench_advisor, bench_static_analysis
 }
 criterion_main!(benches);

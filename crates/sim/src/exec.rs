@@ -765,31 +765,22 @@ pub fn execute(
         }
         Fadd | Fmul | Ffma | Fmnmx => {
             let d = dst_reg(instr, pc)?;
-
             let sa = resolve32(w, &instr.srcs[0], ctx)?;
             let sb = resolve32(w, &instr.srcs[1], ctx)?;
-            let sc =
-                if instr.opcode == Ffma { Some(resolve32(w, &instr.srcs[2], ctx)?) } else { None };
-            let take_max = instr.opcode == Fmnmx && instr.mods.contains(&Modifier::Gt);
-            for &l in lanes {
-                let a = f32v(get32(w, l, sa, ctx));
-                let b = f32v(get32(w, l, sb, ctx));
-                let v = match instr.opcode {
-                    Fadd => a + b,
-                    Fmul => a * b,
-                    Ffma => {
-                        let c = f32v(get32(w, l, sc.expect("resolved above"), ctx));
-                        a.mul_add(b, c)
-                    }
-                    _ => {
-                        if take_max {
-                            a.max(b)
-                        } else {
-                            a.min(b)
-                        }
-                    }
-                };
-                w.write_reg(l, d, v.to_bits());
+            match instr.opcode {
+                Fadd => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) + f32v(b)).to_bits()),
+                Fmul => bin32(w, d, lanes, sa, sb, ctx, |a, b| (f32v(a) * f32v(b)).to_bits()),
+                Ffma => {
+                    let sc = resolve32(w, &instr.srcs[2], ctx)?;
+                    // `mul_add` rounds once, like the hardware FFMA.
+                    tri32(w, d, lanes, sa, sb, sc, ctx, |a, b, c| {
+                        f32v(a).mul_add(f32v(b), f32v(c)).to_bits()
+                    });
+                }
+                _ if instr.mods.contains(&Modifier::Gt) => {
+                    bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).max(f32v(b)).to_bits())
+                }
+                _ => bin32(w, d, lanes, sa, sb, ctx, |a, b| f32v(a).min(f32v(b)).to_bits()),
             }
         }
         Fsetp => {
@@ -1282,6 +1273,89 @@ mod tests {
         );
         execute(&mut w, &ffma, None, &mut cx).unwrap();
         assert_eq!(f32::from_bits(w.read_reg(0, r(3))), 7.0);
+    }
+
+    fn fp32(op: Opcode, d: Register, srcs: Vec<Operand>) -> Instruction {
+        Instruction::new(op, vec![Operand::Reg(d)], srcs)
+    }
+
+    #[test]
+    fn ffma_rounds_once() {
+        let (mut w, mut g, mut s, c) = setup();
+        let mut cx = ctx(&mut g, &mut s, &c);
+        // a·a = 1 + 2⁻¹¹ + 2⁻²⁴: the 2⁻²⁴ term survives only if the
+        // product is not rounded before the add.
+        let a = 1.0f32 + 2f32.powi(-12);
+        let neg_c = -(1.0f32 + 2f32.powi(-11));
+        assert_eq!(a * a + neg_c, 0.0, "the unfused form loses the low term");
+        for l in 0..32 {
+            w.write_reg(l, r(1), a.to_bits());
+            w.write_reg(l, r(2), neg_c.to_bits());
+        }
+        let ffma = fp32(
+            Opcode::Ffma,
+            r(3),
+            vec![Operand::Reg(r(1)), Operand::Reg(r(1)), Operand::Reg(r(2))],
+        );
+        execute(&mut w, &ffma, None, &mut cx).unwrap();
+        for l in 0..32 {
+            assert_eq!(f32::from_bits(w.read_reg(l, r(3))), 2f32.powi(-24), "lane {l}");
+        }
+    }
+
+    #[test]
+    fn fp32_add_mul_and_minmax() {
+        let (mut w, mut g, mut s, c) = setup();
+        let mut cx = ctx(&mut g, &mut s, &c);
+        for l in 0..32 {
+            w.write_reg(l, r(1), (l as f32).to_bits());
+            w.write_reg(l, r(2), (10.0f32 - l as f32).to_bits());
+        }
+        let ab = || vec![Operand::Reg(r(1)), Operand::Reg(r(2))];
+        execute(&mut w, &fp32(Opcode::Fadd, r(3), ab()), None, &mut cx).unwrap();
+        execute(&mut w, &fp32(Opcode::Fmul, r(4), ab()), None, &mut cx).unwrap();
+        execute(&mut w, &fp32(Opcode::Fmnmx, r(5), ab()), None, &mut cx).unwrap();
+        let fmax = fp32(Opcode::Fmnmx, r(6), ab()).with_mod(Modifier::Gt);
+        execute(&mut w, &fmax, None, &mut cx).unwrap();
+        for l in 0..32 {
+            let (a, b) = (l as f32, 10.0 - l as f32);
+            let got = |d: u8| f32::from_bits(w.read_reg(l, r(d)));
+            assert_eq!(got(3), a + b, "FADD lane {l}");
+            assert_eq!(got(4), a * b, "FMUL lane {l}");
+            assert_eq!(got(5), a.min(b), "FMNMX lane {l}");
+            assert_eq!(got(6), a.max(b), "FMNMX.GT lane {l}");
+        }
+    }
+
+    #[test]
+    fn fp32_partial_mask_and_rz_destination() {
+        let (mut w, mut g, mut s, c) = setup();
+        let mut cx = ctx(&mut g, &mut s, &c);
+        let p0 = PredReg::new(0).unwrap();
+        for l in 0..32 {
+            w.write_reg(l, r(1), 2.0f32.to_bits());
+            w.write_reg(l, r(3), 0xdead_0000 + l as u32);
+            w.write_pred(l, p0, l % 3 == 0);
+        }
+        let srcs = || vec![Operand::Reg(r(1)), Operand::Reg(r(1)), Operand::Reg(r(1))];
+        let cases = [
+            (Opcode::Fadd, 4.0f32),
+            (Opcode::Fmul, 4.0),
+            (Opcode::Ffma, 6.0),
+            (Opcode::Fmnmx, 2.0),
+        ];
+        for (op, expect) in cases {
+            let guarded = fp32(op, r(3), srcs()).with_pred(Predicate::pos(p0));
+            execute(&mut w, &guarded, None, &mut cx).unwrap();
+            for l in 0..32 {
+                let want = if l % 3 == 0 { expect.to_bits() } else { 0xdead_0000 + l as u32 };
+                assert_eq!(w.read_reg(l, r(3)), want, "{op}: lane {l}");
+            }
+            // RZ reads zero regardless, so check the backing row itself.
+            execute(&mut w, &fp32(op, Register::ZERO, srcs()), None, &mut cx).unwrap();
+            let rz_row = w.regs[Register::ZERO.index() as usize];
+            assert_eq!(rz_row, [0u32; WARP_LANES], "{op}: RZ write dropped");
+        }
     }
 
     #[test]

@@ -962,6 +962,7 @@ impl LaunchState<'_> {
                 self.icache_misses += 1;
             }
         }
+        refresh_horizon(&mut sm.warps[wi], prog);
 
         // Block barrier / completion bookkeeping.
         let slot = sm.warps[wi].block_slot;
@@ -969,7 +970,7 @@ impl LaunchState<'_> {
             Outcome::Sync => {
                 let block = sm.block_slots[slot].as_mut().expect("resident block");
                 block.arrived += 1;
-                try_release_barrier(sm, slot, now);
+                try_release_barrier(sm, slot, now, prog);
             }
             Outcome::Exit => {
                 let block = sm.block_slots[slot].as_mut().expect("resident block");
@@ -991,7 +992,7 @@ impl LaunchState<'_> {
                         );
                     }
                 } else {
-                    try_release_barrier(sm, slot, now);
+                    try_release_barrier(sm, slot, now, prog);
                 }
             }
             _ => {}
@@ -1026,6 +1027,7 @@ fn start_block(
         warp.pc = prog.entry_pc;
         warp.cur_idx = prog.entry_idx;
         warp.next_issue = start_cycle;
+        refresh_horizon(warp, prog);
         // Fresh warps invalidate their scheduler's next-ready bound.
         let bound = &mut sm.sched_next_ready[scheduler as usize];
         *bound = (*bound).min(start_cycle);
@@ -1130,15 +1132,36 @@ fn classify(sm: &Sm, wi: usize, prog: &CompiledProgram, now: u64, arch: &ArchCon
 ///
 /// Every condition [`classify`] checks is of the form `time >= T` with `T`
 /// fixed while the warp's own state is untouched, so the earliest ready
-/// cycle is just the max of the clear times — an integer fold, no reason
-/// bookkeeping. Events that can lower the horizon from outside (barrier
-/// release, block replacement) explicitly invalidate the scheduler bounds
-/// built from it; later memory traffic can only *raise* the throttle
-/// component, which keeps cached bounds valid lower bounds.
+/// cycle is just the max of the clear times. The warp's own terms are
+/// cached in [`WarpState::horizon`] (see [`refresh_horizon`]); only the
+/// two terms other warps move — the SM throttle clear time and this
+/// scheduler's pipe — are folded in live. Events that can lower the
+/// horizon from outside (barrier release, block replacement) explicitly
+/// invalidate the scheduler bounds built from it; later memory traffic
+/// can only *raise* the throttle component, which keeps cached bounds
+/// valid lower bounds.
 fn ready_at(sm: &Sm, wi: usize, prog: &CompiledProgram, throttle_clear: u64) -> u64 {
     let w = &sm.warps[wi];
-    if w.done || sm.block_slots[w.block_slot].is_none() || w.at_barrier {
+    if w.horizon == u64::MAX {
         return u64::MAX;
+    }
+    let meta = &prog.meta[w.cur_idx as usize];
+    let mut t = w.horizon;
+    if meta.throttled_mem {
+        t = t.max(throttle_clear);
+    }
+    t.max(sm.pipe_free[w.scheduler as usize * N_PIPES + pipe_idx(meta.pipe)])
+}
+
+/// Recomputes a warp's cached own-readiness horizon: the max of its
+/// fetch/issue times and the scoreboard entries its next instruction
+/// reads, or `u64::MAX` while it is parked or done. Those terms change
+/// only when this warp issues, when a barrier release unparks it, and
+/// when a block start resets it — the three places that call this.
+fn refresh_horizon(w: &mut WarpState, prog: &CompiledProgram) {
+    if w.done || w.at_barrier {
+        w.horizon = u64::MAX;
+        return;
     }
     let mut t = w.fetch_ready.max(w.next_issue);
     let meta = &prog.meta[w.cur_idx as usize];
@@ -1159,10 +1182,7 @@ fn ready_at(sm: &Sm, wi: usize, prog: &CompiledProgram, throttle_clear: u64) -> 
             }
         }
     }
-    if meta.throttled_mem {
-        t = t.max(throttle_clear);
-    }
-    t.max(sm.pipe_free[w.scheduler as usize * N_PIPES + pipe_idx(meta.pipe)])
+    w.horizon = t;
 }
 
 /// Earliest cycle the SM's in-flight memory queue drops below the LSU
@@ -1183,7 +1203,7 @@ fn throttle_clear_time(sm: &Sm, arch: &ArchConfig) -> u64 {
 }
 
 /// Releases a block barrier once every live warp has arrived.
-fn try_release_barrier(sm: &mut Sm, slot: usize, now: u64) {
+fn try_release_barrier(sm: &mut Sm, slot: usize, now: u64, prog: &CompiledProgram) {
     let Some(block) = sm.block_slots[slot].as_ref() else { return };
     let live = block.total_warps - block.done_warps;
     if live == 0 || block.arrived < live {
@@ -1195,6 +1215,7 @@ fn try_release_barrier(sm: &mut Sm, slot: usize, now: u64) {
         if w.block_slot == slot && w.at_barrier && !w.done {
             w.at_barrier = false;
             w.next_issue = w.next_issue.max(now + 1);
+            refresh_horizon(w, prog);
             // Unparked warps invalidate their scheduler's next-ready
             // bound (it was computed while they looked unwakeable).
             let bound = &mut sched_next_ready[w.scheduler as usize];

@@ -174,10 +174,19 @@ impl GlobalMem {
         write_u64
     );
 
-    /// Copies a byte slice into memory.
+    /// Copies a byte slice into memory, one page-sized run at a time —
+    /// the host upload path, where per-byte page hashing dominated.
+    /// Every page the slice touches is created, even for all-zero data.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            let (chunk, tail) = rest.split_at(n);
+            self.page_mut(addr)[off..off + n].copy_from_slice(chunk);
+            addr += n as u64;
+            rest = tail;
         }
     }
 
@@ -331,6 +340,38 @@ mod tests {
         assert_eq!(m.read_u32(edge), 0x11223344);
         // Unwritten memory reads zero.
         assert_eq!(m.read_u32(0x9999_0000), 0);
+    }
+
+    /// `write_bytes` must match a per-byte `write_u8` loop: same bytes
+    /// back, same set of materialized pages.
+    #[test]
+    fn write_bytes_matches_per_byte_writes() {
+        let cases: [(u64, usize); 4] = [
+            (PAGE_SIZE - 3, 10),                             // crosses a page
+            (2 * PAGE_SIZE - 16, 16),                        // ends exactly on a boundary
+            (3 * PAGE_SIZE + 5, 0),                          // empty slice
+            (5 * PAGE_SIZE + 1, 2 * PAGE_SIZE as usize + 7), // spans three pages
+        ];
+        for (addr, len) in cases {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let mut fast = GlobalMem::new();
+            fast.write_bytes(addr, &bytes);
+            let mut reference = GlobalMem::new();
+            for (i, &b) in bytes.iter().enumerate() {
+                reference.write_u8(addr + i as u64, b);
+            }
+            assert_eq!(fast.read_bytes(addr, len), bytes, "read back at {addr:#x}+{len}");
+            assert_eq!(fast.pages.len(), reference.pages.len(), "page count at {addr:#x}+{len}");
+            let mut fast_ids: Vec<u64> = fast.pages.keys().copied().collect();
+            let mut ref_ids: Vec<u64> = reference.pages.keys().copied().collect();
+            fast_ids.sort_unstable();
+            ref_ids.sort_unstable();
+            assert_eq!(fast_ids, ref_ids, "page ids at {addr:#x}+{len}");
+        }
+        // All-zero data still materializes its pages.
+        let mut m = GlobalMem::new();
+        m.write_bytes(PAGE_SIZE - 1, &[0, 0]);
+        assert_eq!(m.pages.len(), 2);
     }
 
     #[test]

@@ -77,6 +77,13 @@ pub struct WarpState {
     pub prev_was_ctrl: bool,
     /// Instructions issued by this warp.
     pub issued: u64,
+    /// Cached own-readiness horizon: the max of `fetch_ready`,
+    /// `next_issue`, and the scoreboard entries (wait-mask barriers,
+    /// source registers and predicates) the next instruction reads —
+    /// `u64::MAX` while the warp is parked, done or not yet resident.
+    /// Only this warp's issue, barrier release and block start move
+    /// those terms, so the machine refreshes it exactly there.
+    pub horizon: u64,
 }
 
 impl WarpState {
@@ -119,6 +126,7 @@ impl WarpState {
             done: false,
             prev_was_ctrl: false,
             issued: 0,
+            horizon: u64::MAX,
         }
     }
 

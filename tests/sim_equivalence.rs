@@ -34,27 +34,35 @@ fn cfg(dense: bool) -> SimConfig {
     SimConfig { dense_reference: dense, ..sim_config() }
 }
 
+/// Every variant of every app (the Table 3 optimization stages push
+/// different instruction mixes through the issue scan and the ALU).
 #[test]
 fn all_apps_dense_vs_event_driven_identical() {
     let p = Params::test();
     let arch = arch_for(&p);
+    let mut subjects = 0;
     for app in all_apps() {
-        let spec = (app.build)(0, &p);
-        let dense = launch_with(&spec, &arch, cfg(true));
-        let event = launch_with(&spec, &arch, cfg(false));
-        // Named comparisons first so a mismatch reads well, then the
-        // whole result (covers occupancy, launch, and future fields).
-        assert_eq!(dense.cycles, event.cycles, "{}: cycles", app.name);
-        assert_eq!(dense.issued, event.issued, "{}: issued", app.name);
-        assert_eq!(dense.samples, event.samples, "{}: aggregated samples", app.name);
-        assert_eq!(dense.issue_counts, event.issue_counts, "{}: issue counts", app.name);
-        assert_eq!(dense.mem_transactions, event.mem_transactions, "{}: mem txns", app.name);
-        assert_eq!(dense.l2_hits, event.l2_hits, "{}: L2 hits", app.name);
-        assert_eq!(dense.l2_misses, event.l2_misses, "{}: L2 misses", app.name);
-        assert_eq!(dense.icache_misses, event.icache_misses, "{}: icache misses", app.name);
-        assert_eq!(dense.sm_stats, event.sm_stats, "{}: per-SM stats", app.name);
-        assert_eq!(dense, event, "{}: full LaunchResult", app.name);
+        for v in 0..app.variants() {
+            let spec = (app.build)(v, &p);
+            let dense = launch_with(&spec, &arch, cfg(true));
+            let event = launch_with(&spec, &arch, cfg(false));
+            let name = format!("{} v{v}", app.name);
+            // Named comparisons first so a mismatch reads well, then the
+            // whole result (covers occupancy, launch, and future fields).
+            assert_eq!(dense.cycles, event.cycles, "{name}: cycles");
+            assert_eq!(dense.issued, event.issued, "{name}: issued");
+            assert_eq!(dense.samples, event.samples, "{name}: aggregated samples");
+            assert_eq!(dense.issue_counts, event.issue_counts, "{name}: issue counts");
+            assert_eq!(dense.mem_transactions, event.mem_transactions, "{name}: mem txns");
+            assert_eq!(dense.l2_hits, event.l2_hits, "{name}: L2 hits");
+            assert_eq!(dense.l2_misses, event.l2_misses, "{name}: L2 misses");
+            assert_eq!(dense.icache_misses, event.icache_misses, "{name}: icache misses");
+            assert_eq!(dense.sm_stats, event.sm_stats, "{name}: per-SM stats");
+            assert_eq!(dense, event, "{name}: full LaunchResult");
+            subjects += 1;
+        }
     }
+    assert_eq!(subjects, 47, "21 baselines plus the 26 Table 3 variants");
 }
 
 /// The raw-stream differential: per-sample cycle/SM/scheduler identity,
