@@ -138,8 +138,8 @@ fn bench_warm_swarm(c: &mut Criterion) {
 /// One persistent-pipelined pass: `CLIENTS` long-lived connections,
 /// each writing the whole sweep as one burst and reading the responses
 /// back in order. No connection churn at all — this is the traffic
-/// shape the per-reactor buffer pools and completion routing serve in
-/// the steady state, and the regression guard for the 8-client
+/// shape the per-reactor completion routing serves in the steady
+/// state, and the regression guard for the 8-client
 /// persistent rows.
 fn pipelined_sweep(addr: std::net::SocketAddr, frames: &[String]) {
     use std::io::{BufRead, BufReader, Write};

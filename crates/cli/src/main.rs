@@ -22,8 +22,8 @@ use gpa_json::Json;
 use gpa_kernels::all_apps;
 use gpa_pipeline::{AnalysisError, AnalysisJob, Session};
 use gpa_serve::{
-    serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, WireOptions, DEFAULT_ADDR,
-    MAX_REPEAT,
+    protocol, serve, FaultPlan, PeerMeta, Request, ServeClient, ServerConfig, WireOptions,
+    DEFAULT_ADDR, MAX_REPEAT,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -212,11 +212,7 @@ fn parse_variant(arg: Option<&String>) -> Result<usize, String> {
 fn advice_options(flags: &Flags) -> Result<WireOptions, String> {
     let mut options = WireOptions::default();
     if let Some(s) = &flags.schema {
-        options.schema = match s.as_str() {
-            "v1" | "1" => 1,
-            "v2" | "2" => 2,
-            other => return Err(format!("unknown schema `{other}` (expected v1 or v2)")),
-        };
+        options.schema = protocol::parse_schema_name(s)?;
     }
     if let Some(top) = flags.top {
         options.request.top = Some(top);
@@ -233,13 +229,7 @@ fn advice_options(flags: &Flags) -> Result<WireOptions, String> {
         options.request.min_speedup = m;
     }
     if let Some(m) = &flags.mem_model {
-        options.hierarchy = match m.as_str() {
-            "flat" => false,
-            "hierarchy" => true,
-            other => {
-                return Err(format!("unknown memory model `{other}` (expected flat or hierarchy)"))
-            }
-        };
+        options.hierarchy = protocol::parse_mem_model(m)?;
     }
     if let Some(r) = flags.repeat {
         if r == 0 {

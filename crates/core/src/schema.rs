@@ -20,6 +20,27 @@ use gpa_json::{Json, JsonError};
 /// The crate's result type for schema decoding.
 pub type Result<T> = std::result::Result<T, JsonError>;
 
+/// Renders a report's ranked items as the flat **v1** advice list: one
+/// `{rank, optimizer, estimated_speedup, matched_ratio}` object per
+/// item, ranks from 1. Kept byte-stable for pre-v2 consumers; callers
+/// wrap it in their own envelope.
+pub fn advice_v1_json(report: &AdviceReport) -> Json {
+    Json::Arr(
+        report
+            .items
+            .iter()
+            .enumerate()
+            .map(|(rank, item)| {
+                Json::object()
+                    .with("rank", rank + 1)
+                    .with("optimizer", item.optimizer())
+                    .with("estimated_speedup", item.estimated_speedup)
+                    .with("matched_ratio", item.matched_ratio)
+            })
+            .collect(),
+    )
+}
+
 /// Renders a report as its schema-v2 JSON document.
 pub fn report_to_json(report: &AdviceReport) -> Json {
     Json::object()

@@ -71,19 +71,6 @@ impl AnalysisOutcome {
     /// **v1** advice shape, kept byte-stable for existing consumers; the
     /// full structured report is [`AnalysisOutcome::to_json_v2`].
     pub fn to_json(&self) -> Json {
-        let advice: Vec<Json> = self
-            .report
-            .items
-            .iter()
-            .enumerate()
-            .map(|(rank, item)| {
-                Json::object()
-                    .with("rank", rank + 1)
-                    .with("optimizer", item.optimizer())
-                    .with("estimated_speedup", item.estimated_speedup)
-                    .with("matched_ratio", item.matched_ratio)
-            })
-            .collect();
         Json::object()
             .with("app", self.job.app.clone())
             .with("variant", self.job.variant)
@@ -92,7 +79,7 @@ impl AnalysisOutcome {
             .with("total_samples", self.profile.total_samples)
             .with("issue_ratio", self.profile.issue_ratio())
             .with("wall_ms", self.wall.as_secs_f64() * 1e3)
-            .with("advice", Json::Arr(advice))
+            .with("advice", gpa_core::schema::advice_v1_json(&self.report))
     }
 
     /// The outcome with its advice as the full machine-readable **v2**

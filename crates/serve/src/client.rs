@@ -102,7 +102,8 @@ pub struct Response {
 }
 
 impl Response {
-    fn from_frame(frame: &str) -> io::Result<Response> {
+    /// Reads one response line.
+    pub(crate) fn from_frame(frame: &str) -> io::Result<Response> {
         let doc = Json::parse(frame).map_err(invalid)?;
         let ok = doc.field("ok").and_then(Json::as_bool).map_err(invalid)?;
         let cached = doc.get("cached").map_or(Ok(false), Json::as_bool).map_err(invalid)?;

@@ -39,20 +39,10 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// High-water mark of [`Metrics::queue_depth`].
     pub queue_peak: AtomicU64,
-    /// Connections accepted over the daemon's lifetime.
-    pub connections: AtomicU64,
     /// `store_get` peer requests received.
     pub store_get: AtomicU64,
     /// `store_put` peer requests received.
     pub store_put: AtomicU64,
-    /// Connections currently open (reactor gauge).
-    pub open_connections: AtomicU64,
-    /// Response bytes buffered but not yet written (reactor gauge).
-    pub pending_bytes: AtomicU64,
-    /// Requests shed because [`Metrics::pending_bytes`] hit the budget.
-    pub byte_sheds: AtomicU64,
-    /// Idle connections reaped by the reactor's deadline sweep.
-    pub idle_reaped: AtomicU64,
     /// Requests forwarded to their owning shard.
     pub forwards_out: AtomicU64,
     /// Forwarded requests received from a peer shard.
@@ -122,13 +112,8 @@ impl Default for Metrics {
             rejected: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             store_get: AtomicU64::new(0),
             store_put: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            pending_bytes: AtomicU64::new(0),
-            byte_sheds: AtomicU64::new(0),
-            idle_reaped: AtomicU64::new(0),
             forwards_out: AtomicU64::new(0),
             forwards_in: AtomicU64::new(0),
             forward_failures: AtomicU64::new(0),
@@ -228,17 +213,6 @@ impl Metrics {
             .with("ring_status", self.ring_status.load(Ordering::Relaxed))
     }
 
-    /// The reactor/connection gauge object used inside `status`
-    /// responses.
-    pub fn reactor_json(&self) -> Json {
-        Json::object()
-            .with("open_connections", self.open_connections.load(Ordering::Relaxed))
-            .with("pending_jobs", self.queue_depth.load(Ordering::Relaxed))
-            .with("pending_bytes", self.pending_bytes.load(Ordering::Relaxed))
-            .with("byte_sheds", self.byte_sheds.load(Ordering::Relaxed))
-            .with("idle_reaped", self.idle_reaped.load(Ordering::Relaxed))
-    }
-
     /// The cluster counter object used inside `status` responses.
     pub fn cluster_json(&self) -> Json {
         Json::object()
@@ -257,11 +231,11 @@ impl Metrics {
     }
 }
 
-/// One reactor thread's counters. The daemon-wide [`Metrics`] gauges
-/// keep counting everything (so `status.reactor` stays the roll-up it
-/// always was); these split the same events by owning reactor for the
-/// `status.reactors` array, and `pending_bytes` doubles as the gauge
-/// the reactor's *own* byte-budget share is enforced against.
+/// One reactor thread's connection counters: the `status.reactors`
+/// entry. They are the only copy — `status.connections` and the
+/// `status.reactor` roll-up are their sums over every reactor — and
+/// `pending_bytes` doubles as the gauge the reactor's *own* byte-budget
+/// share is enforced against.
 #[derive(Default)]
 pub struct ReactorStats {
     /// Connections this reactor accepted (or was handed) over the
@@ -276,9 +250,6 @@ pub struct ReactorStats {
     pub byte_sheds: AtomicU64,
     /// Idle connections reaped by this reactor's deadline sweep.
     pub idle_reaped: AtomicU64,
-    /// Connection buffers served from this reactor's recycle pool
-    /// instead of a fresh allocation.
-    pub buffer_reuses: AtomicU64,
 }
 
 impl ReactorStats {
@@ -297,7 +268,6 @@ impl ReactorStats {
             .with("byte_budget", byte_budget)
             .with("byte_sheds", self.byte_sheds.load(Ordering::Relaxed))
             .with("idle_reaped", self.idle_reaped.load(Ordering::Relaxed))
-            .with("buffer_reuses", self.buffer_reuses.load(Ordering::Relaxed))
     }
 }
 

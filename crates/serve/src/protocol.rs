@@ -161,16 +161,7 @@ impl WireOptions {
             options.forwarded = v.as_bool().map_err(|_| "`fwd` must be a boolean")?;
         }
         if let Some(v) = doc.get("mem") {
-            let s = v.as_str().map_err(|_| "`mem` must be a string")?;
-            options.hierarchy = match s {
-                "flat" => false,
-                "hierarchy" => true,
-                other => {
-                    return Err(format!(
-                        "unknown memory model `{other}` (expected flat or hierarchy)"
-                    ))
-                }
-            };
+            options.hierarchy = parse_mem_model(v.as_str().map_err(|_| "`mem` must be a string")?)?;
         }
         options.meta = PeerMeta::parse(doc)?;
         let mut request = AdviceRequest::default();
@@ -282,14 +273,39 @@ impl WireOptions {
     }
 }
 
+/// Parses a schema name — `v1`/`1` or `v2`/`2` — as the wire's string
+/// form and the CLI's `--schema` spell it.
+///
+/// # Errors
+///
+/// Any other name.
+pub fn parse_schema_name(name: &str) -> Result<u32, String> {
+    match name {
+        "v1" | "1" => Ok(1),
+        "v2" | "2" => Ok(2),
+        other => Err(format!("unknown schema `{other}` (expected v1 or v2)")),
+    }
+}
+
+/// Parses a memory-model name — `flat` or `hierarchy`, as the wire's
+/// `mem` and the CLI's `--mem-model` spell it — into whether it selects
+/// the timed hierarchy.
+///
+/// # Errors
+///
+/// Any other name.
+pub fn parse_mem_model(name: &str) -> Result<bool, String> {
+    match name {
+        "flat" => Ok(false),
+        "hierarchy" => Ok(true),
+        other => Err(format!("unknown memory model `{other}` (expected flat or hierarchy)")),
+    }
+}
+
 /// Parses a schema version: the integers 1/2 or the strings "v1"/"v2".
 fn parse_schema(v: &Json) -> Result<u32, String> {
     let n = match v {
-        Json::Str(s) => match s.as_str() {
-            "v1" | "1" => 1,
-            "v2" | "2" => 2,
-            other => return Err(format!("unknown schema `{other}` (expected v1 or v2)")),
-        },
+        Json::Str(s) => parse_schema_name(s)?,
         other => {
             let n = other.as_u64().map_err(|_| "`schema` must be 1, 2, \"v1\" or \"v2\"")?;
             u32::try_from(n).map_err(|_| "`schema` out of range")?
@@ -845,24 +861,11 @@ fn result_body(
             .with("report", schema::report_to_json(advice))
             .with("text", report::render(advice, REPORT_TOP)),
         // v1 (compatibility renderer): the flat pre-v2 advice summary,
-        // byte-identical to what pre-v2 daemons produced.
-        _ => {
-            let items: Vec<Json> = advice
-                .items
-                .iter()
-                .enumerate()
-                .map(|(rank, item)| {
-                    Json::object()
-                        .with("rank", rank + 1)
-                        .with("optimizer", item.optimizer())
-                        .with("estimated_speedup", item.estimated_speedup)
-                        .with("matched_ratio", item.matched_ratio)
-                })
-                .collect();
-            envelope
-                .with("advice", Json::Arr(items))
-                .with("text", report::render(advice, REPORT_TOP))
-        }
+        // byte-identical to what pre-v2 daemons produced (pinned by
+        // `tests/golden/analyze_v1_rodinia_hotspot.json`).
+        _ => envelope
+            .with("advice", schema::advice_v1_json(advice))
+            .with("text", report::render(advice, REPORT_TOP)),
     }
 }
 

@@ -59,6 +59,7 @@
 //! cooperative: the flag flips, workers drain the queue, the reactor
 //! flushes pending responses (bounded drain), and every thread joins.
 
+use crate::client::{ClientError, Response};
 use crate::faults::FaultPlan;
 use crate::metrics::{Metrics, ReactorStats};
 use crate::peer::PeerTable;
@@ -210,16 +211,6 @@ const WRITE_GATE_BYTES: usize = 4 * 1024 * 1024;
 /// this often even with no socket events.
 const TICK_MS: i32 = 50;
 
-/// Per-reactor recycle pool: at most this many connection buffers are
-/// kept for reuse, so a burst of ten thousand connections does not pin
-/// ten thousand buffers forever.
-const POOL_MAX_BUFFERS: usize = 64;
-
-/// Buffers grown past this capacity are dropped instead of pooled — a
-/// single 8 MiB upload must not turn the pool into a permanent 8 MiB
-/// hoard per slot.
-const POOL_MAX_BUF_CAPACITY: usize = 256 * 1024;
-
 /// How long the reactor keeps flushing in-flight responses after
 /// shutdown triggers before force-closing (covers a worker finishing
 /// the job whose client asked for the frame).
@@ -357,8 +348,10 @@ impl Cluster {
         self.state.read().expect("cluster state").roster.epoch()
     }
 
-    fn members(&self) -> Vec<String> {
-        self.state.read().expect("cluster state").roster.members().to_vec()
+    /// One consistent `(epoch, members)` snapshot of the roster.
+    fn roster(&self) -> (u64, Vec<String>) {
+        let state = self.state.read().expect("cluster state");
+        (state.roster.epoch(), state.roster.members().to_vec())
     }
 
     fn successor(&self) -> Option<String> {
@@ -411,12 +404,44 @@ impl Cluster {
             let _ = tx.try_send(task);
         }
     }
+
+    /// One peer round trip over the hardened path: sends `request` to
+    /// `addr` and returns the reply line, unparsed. Only transport
+    /// failures count against the peer's breaker — callers read the
+    /// line after the call has returned, so a malformed reply never
+    /// does.
+    fn ask(
+        &self,
+        metrics: &Metrics,
+        addr: &str,
+        retry: bool,
+        request: &Request,
+    ) -> Result<String, ClientError> {
+        let wire = request.to_wire();
+        self.peers.call(addr, metrics, retry, |client| {
+            Ok(client.request_line(&wire)?.trim_end().to_string())
+        })
+    }
+
+    /// [`Cluster::ask`], with the reply read as a daemon [`Response`]:
+    /// the outer error is the transport's, the inner one says why the
+    /// reply carries no result (a malformed or an error frame).
+    fn ask_result(
+        &self,
+        metrics: &Metrics,
+        addr: &str,
+        retry: bool,
+        request: &Request,
+    ) -> Result<io::Result<Json>, ClientError> {
+        let line = self.ask(metrics, addr, retry, request)?;
+        Ok(Response::from_frame(&line).and_then(Response::into_result))
+    }
 }
 
 /// One reactor thread's cross-thread surface: the handles workers (and
 /// the acceptor on reactor 0) use to reach it. Everything thread-local
-/// to the reactor — poller, connection table, buffer pool — lives on
-/// its stack in [`reactor_loop`].
+/// to the reactor — poller and connection table — lives on its stack
+/// in [`reactor_loop`].
 struct ReactorShared {
     /// Wakes the reactor out of `epoll_wait` (completions, handed-off
     /// sockets, shutdown).
@@ -426,7 +451,8 @@ struct ReactorShared {
     /// Sockets reactor 0 accepted for this reactor, waiting to be
     /// registered.
     incoming: Mutex<Vec<TcpStream>>,
-    /// This reactor's counters (the `status.reactors` entry).
+    /// This reactor's counters: its `status.reactors` entry, and its
+    /// share of the `status.reactor` roll-up.
     stats: ReactorStats,
     /// This reactor's share of the daemon's pending-byte budget: the
     /// admission gate checks the reactor's *own* backlog against its
@@ -655,27 +681,18 @@ pub fn serve_on(
 /// roster the seed answers with.
 fn join_cluster(shared: &Shared, seed: &str) -> io::Result<()> {
     let cluster = shared.cluster.as_ref().expect("join implies cluster mode");
-    let wire = Request::Join { addr: cluster.self_addr.clone(), meta: cluster.meta() }.to_wire();
-    let line = cluster
-        .peers
-        .call(seed, &shared.metrics, true, |client| {
-            Ok(client.request_line(&wire)?.trim_end().to_string())
-        })
+    let join = Request::Join { addr: cluster.self_addr.clone(), meta: cluster.meta() };
+    let bad = |what: String| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("join via {seed}: {what}"))
+    };
+    let result = cluster
+        .ask_result(&shared.metrics, seed, true, &join)
         .map_err(|e| {
             io::Error::new(io::ErrorKind::ConnectionRefused, format!("join via {seed}: {e}"))
-        })?;
-    let reply = Json::parse(&line)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("join via {seed}: {e}")))?;
-    let bad = |what: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("join via {seed}: {what} in {line}"))
-    };
-    if !reply.get("ok").and_then(|v| v.as_bool().ok()).unwrap_or(false) {
-        return Err(bad("not an ok frame"));
-    }
-    let (epoch, members) = reply
-        .get("result")
-        .and_then(protocol::parse_roster)
-        .ok_or_else(|| bad("no roster result"))?;
+        })?
+        .map_err(|e| bad(e.to_string()))?;
+    let (epoch, members) = protocol::parse_roster(&result)
+        .ok_or_else(|| bad(format!("no roster result in {}", result.compact())))?;
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
     } else {
@@ -893,10 +910,7 @@ fn apply_peer_meta(shared: &Shared, meta: &PeerMeta) {
 fn check_peer_epoch(shared: &Shared, meta: &PeerMeta) -> Option<String> {
     let cluster = shared.cluster.as_ref()?;
     let sender_epoch = meta.epoch?;
-    let (local_epoch, members) = {
-        let state = cluster.state.read().expect("cluster state");
-        (state.roster.epoch(), state.roster.members().to_vec())
-    };
+    let (local_epoch, members) = cluster.roster();
     if sender_epoch < local_epoch {
         shared.metrics.stale_epoch_rejected.fetch_add(1, Ordering::Relaxed);
         return Some(protocol::stale_epoch_frame(local_epoch, &members));
@@ -914,10 +928,7 @@ fn ring_status(shared: &Shared) -> String {
     let body = Json::object()
         .with("epoch", state.roster.epoch())
         .with("self", cluster.self_addr.clone())
-        .with(
-            "members",
-            Json::Arr(state.roster.members().iter().map(|m| Json::from(m.as_str())).collect()),
-        )
+        .with("members", state.roster.members().to_vec())
         .with("successor", state.successor.clone().map_or(Json::Null, Json::Str))
         .with("draining", cluster.draining.load(Ordering::Relaxed));
     protocol::ok_frame(false, &body.compact())
@@ -932,22 +943,7 @@ fn peer_join(shared: &Shared, addr: &str, meta: &PeerMeta) -> String {
     if !addr.contains(':') {
         return protocol::error_frame("`addr` must be a host:port address");
     }
-    apply_peer_meta(shared, meta);
-    let added = cluster.mutate(|roster| roster.join(addr));
-    if added {
-        // Entries the wider ring now maps to the joiner (possibly via
-        // other members) get re-shipped in the background.
-        cluster.schedule(ClusterTask::Handoff);
-    }
-    let (epoch, members) = {
-        let state = cluster.state.read().expect("cluster state");
-        (state.roster.epoch(), state.roster.members().to_vec())
-    };
-    let body = Json::object()
-        .with("added", added)
-        .with("epoch", epoch)
-        .with("members", Json::Arr(members.iter().map(|m| Json::from(m.as_str())).collect()));
-    protocol::ok_frame(false, &body.compact())
+    edit_roster(shared, cluster, meta, "added", |roster| roster.join(addr))
 }
 
 /// The roster-edit half of `leave`: removing a member that is not this
@@ -962,20 +958,30 @@ fn leave_inline(shared: &Shared, addr: Option<&str>, meta: &PeerMeta) -> Option<
     if target == cluster.self_addr {
         return None;
     }
+    Some(edit_roster(shared, cluster, meta, "removed", |roster| roster.leave(target)))
+}
+
+/// A peer's roster edit (`join`, or `leave` of another member): applies
+/// the sender's meta, edits the roster, and answers
+/// `{<changed_field>, epoch, members}` with the post-edit roster. A
+/// change schedules a background handoff, re-shipping the entries the
+/// new ring maps elsewhere.
+fn edit_roster(
+    shared: &Shared,
+    cluster: &Cluster,
+    meta: &PeerMeta,
+    changed_field: &str,
+    edit: impl FnOnce(&mut Roster) -> bool,
+) -> String {
     apply_peer_meta(shared, meta);
-    let removed = cluster.mutate(|roster| roster.leave(target));
-    if removed {
+    let changed = cluster.mutate(edit);
+    if changed {
         cluster.schedule(ClusterTask::Handoff);
     }
-    let (epoch, members) = {
-        let state = cluster.state.read().expect("cluster state");
-        (state.roster.epoch(), state.roster.members().to_vec())
-    };
-    let body = Json::object()
-        .with("removed", removed)
-        .with("epoch", epoch)
-        .with("members", Json::Arr(members.iter().map(|m| Json::from(m.as_str())).collect()));
-    Some(protocol::ok_frame(false, &body.compact()))
+    let (epoch, members) = cluster.roster();
+    let body =
+        Json::object().with(changed_field, changed).with("epoch", epoch).with("members", members);
+    protocol::ok_frame(false, &body.compact())
 }
 
 /// Drains this shard out of the ring: leave the roster, ship every
@@ -990,10 +996,7 @@ fn drain_self(shared: &Shared) -> String {
         return protocol::error_frame("this shard is already draining");
     }
     cluster.mutate(|roster| roster.leave(&cluster.self_addr));
-    let (epoch, members) = {
-        let state = cluster.state.read().expect("cluster state");
-        (state.roster.epoch(), state.roster.members().to_vec())
-    };
+    let (epoch, members) = cluster.roster();
     let mut handed_off = 0u64;
     let mut failed = 0u64;
     if !members.is_empty() {
@@ -1008,12 +1011,9 @@ fn drain_self(shared: &Shared) -> String {
     }
     // Best-effort departure announce; a member that misses it learns
     // from the next stale-epoch bounce or refresh.
-    let announce =
-        Request::Leave { addr: Some(cluster.self_addr.clone()), meta: cluster.meta() }.to_wire();
+    let announce = Request::Leave { addr: Some(cluster.self_addr.clone()), meta: cluster.meta() };
     for member in &members {
-        let _ = cluster.peers.call(member, &shared.metrics, false, |client| {
-            client.request_line(&announce).map(drop)
-        });
+        let _ = cluster.ask(&shared.metrics, member, false, &announce);
     }
     let body = Json::object()
         .with("left", true)
@@ -1026,22 +1026,13 @@ fn drain_self(shared: &Shared) -> String {
 /// Ships one store entry to `owner` over the hardened peer path
 /// (best-effort: no retry budget is spent on a handoff).
 fn ship_entry(shared: &Shared, cluster: &Cluster, owner: &str, key: &str, body: &str) -> bool {
-    let wire =
-        Request::StorePut { key: key.to_string(), body: body.to_string(), meta: cluster.meta() }
-            .to_wire();
-    let sent = cluster
-        .peers
-        .call(owner, &shared.metrics, false, |client| client.request_line(&wire).map(drop));
-    match sent {
-        Ok(()) => {
-            shared.metrics.handoff_shipped.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(_) => {
-            shared.metrics.handoff_failed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
+    let put =
+        Request::StorePut { key: key.to_string(), body: body.to_string(), meta: cluster.meta() };
+    let sent = cluster.ask(&shared.metrics, owner, false, &put).is_ok();
+    let counter =
+        if sent { &shared.metrics.handoff_shipped } else { &shared.metrics.handoff_failed };
+    counter.fetch_add(1, Ordering::Relaxed);
+    sent
 }
 
 /// `profile_begin`: opens an upload slot after validating (and warming)
@@ -1207,13 +1198,11 @@ fn try_enqueue(
     // The byte gate is per reactor: each reactor's own backlog is
     // checked against its own share of the daemon budget, so one
     // reactor's slow-client pile-up cannot shed jobs arriving on the
-    // others. With one reactor the share *is* the whole budget and the
-    // gauge is the daemon gauge.
+    // others. With one reactor the share *is* the whole budget.
     let rs = &shared.reactors[reactor];
     let pending_bytes = rs.stats.pending_bytes.load(Ordering::Relaxed);
     let budget = rs.byte_budget;
     if pending_bytes > budget {
-        shared.metrics.byte_sheds.fetch_add(1, Ordering::Relaxed);
         rs.stats.byte_sheds.fetch_add(1, Ordering::Relaxed);
         return Err(Box::new((
             request,
@@ -1330,7 +1319,7 @@ fn route_away(shared: &Shared, request: &Request) -> Option<String> {
 /// so forwarded responses stay byte-identical to direct ones. The
 /// forwarded frame carries this shard's epoch; a `stale_epoch` bounce
 /// adopts the owner's roster instead of returning a frame.
-fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded, io::Error> {
+fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded, ClientError> {
     let cluster = shared.cluster.as_ref().expect("routed with a cluster");
     shared.metrics.forwards_out.fetch_add(1, Ordering::Relaxed);
     let mut forwarded = request.to_forwarded();
@@ -1339,13 +1328,7 @@ fn forward(shared: &Shared, owner: &str, request: &Request) -> Result<Forwarded,
     {
         options.meta = cluster.meta();
     }
-    let wire = forwarded.to_wire();
-    let line = cluster
-        .peers
-        .call(owner, &shared.metrics, true, |client| {
-            Ok(client.request_line(&wire)?.trim_end().to_string())
-        })
-        .map_err(crate::client::ClientError::into_io)?;
+    let line = cluster.ask(&shared.metrics, owner, true, &forwarded)?;
     if let Some((epoch, members)) = protocol::parse_stale_epoch(&line) {
         if cluster.adopt(epoch, &members) {
             shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
@@ -1365,18 +1348,8 @@ fn warm_from_successor(shared: &Shared, key: &str) -> Option<String> {
     if !cluster.owns(key) {
         return None;
     }
-    let wire = Request::StoreGet { key: key.to_string() }.to_wire();
-    let line = cluster
-        .peers
-        .call(&successor, &shared.metrics, false, |client| {
-            Ok(client.request_line(&wire)?.trim_end().to_string())
-        })
-        .ok()?;
-    let doc = Json::parse(&line).ok()?;
-    if !doc.get("ok")?.as_bool().ok()? {
-        return None;
-    }
-    let result = doc.get("result")?;
+    let get = Request::StoreGet { key: key.to_string() };
+    let result = cluster.ask_result(&shared.metrics, &successor, false, &get).ok()?.ok()?;
     if !result.get("found")?.as_bool().ok()? {
         return None;
     }
@@ -1398,49 +1371,32 @@ fn execute_local(shared: &Shared, request: Request) -> String {
             return protocol::ok_frame(true, &body);
         }
     }
-    match request {
+    let computed = match request {
         Request::Analyze { job, options } => {
-            let session = &shared.session;
-            let outcome = if options.hierarchy {
-                let mem = MemModel::Hierarchy(HierarchyConfig::default());
-                session.run_one_with_mem(&job, &options.request, options.repeat, &mem)
+            // The wire picks the model, never the session default: the
+            // content address says flat unless the request said
+            // hierarchy.
+            let mem = if options.hierarchy {
+                MemModel::Hierarchy(HierarchyConfig::default())
             } else {
-                session.run_one_request_repeat(&job, &options.request, options.repeat)
+                MemModel::Flat
             };
-            match outcome {
-                Ok(outcome) => {
-                    let body = protocol::analyze_body(&outcome, options.schema).compact();
-                    let stored = shared.store.insert(&key.expect("analyze is cacheable"), &body);
-                    protocol::ok_frame(false, &stored)
-                }
-                Err(e) => {
-                    shared.metrics.analysis_errors.fetch_add(1, Ordering::Relaxed);
-                    protocol::job_error_frame(&e)
-                }
-            }
+            shared
+                .session
+                .run_one_with_mem(&job, &options.request, options.repeat, &mem)
+                .map(|outcome| protocol::analyze_body(&outcome, options.schema))
         }
-        Request::AnalyzeProfile { job, profile, options, .. } => {
-            match shared.session.advise_profile_request(&job, &profile, &options.request) {
-                Ok(report) => {
-                    let body =
-                        protocol::profile_body(&job, &profile, &report, options.schema).compact();
-                    let stored =
-                        shared.store.insert(&key.expect("analyze_profile is cacheable"), &body);
-                    protocol::ok_frame(false, &stored)
-                }
-                Err(e) => {
-                    shared.metrics.analysis_errors.fetch_add(1, Ordering::Relaxed);
-                    protocol::job_error_frame(&e)
-                }
-            }
-        }
+        Request::AnalyzeProfile { job, profile, options, .. } => shared
+            .session
+            .advise_profile_request(&job, &profile, &options.request)
+            .map(|report| protocol::profile_body(&job, &profile, &report, options.schema)),
         Request::Sleep { ms } => {
             std::thread::sleep(Duration::from_millis(ms));
-            protocol::ok_frame(false, &format!("{{\"slept_ms\":{ms}}}"))
+            return protocol::ok_frame(false, &format!("{{\"slept_ms\":{ms}}}"));
         }
         // A self-`leave` ships the whole store; it is the one
         // membership op that takes a worker slot.
-        Request::Leave { .. } => drain_self(shared),
+        Request::Leave { .. } => return drain_self(shared),
         // Handled inline by the connection layer; never queued.
         Request::Status
         | Request::Shutdown
@@ -1452,7 +1408,17 @@ fn execute_local(shared: &Shared, request: Request) -> String {
         | Request::StorePut { .. }
         | Request::Join { .. }
         | Request::RingStatus => {
-            protocol::error_frame("internal error: control op reached the worker pool")
+            return protocol::error_frame("internal error: control op reached the worker pool")
+        }
+    };
+    match computed {
+        Ok(body) => {
+            let key = key.expect("analyze requests are cacheable");
+            protocol::ok_frame(false, &shared.store.insert(&key, &body.compact()))
+        }
+        Err(e) => {
+            shared.metrics.analysis_errors.fetch_add(1, Ordering::Relaxed);
+            protocol::job_error_frame(&e)
         }
     }
 }
@@ -1468,12 +1434,9 @@ fn replicator_loop(shared: &Shared, rx: &mpsc::Receiver<(String, String)>) {
         // No successor (solo ring, or drained off it): nothing to
         // replicate to — not a drop.
         let Some(successor) = cluster.successor() else { continue };
-        let wire = Request::StorePut { key, body, meta: cluster.meta() }.to_wire();
-        let sent = cluster.peers.call(&successor, &shared.metrics, false, |client| {
-            client.request_line(&wire).map(drop)
-        });
-        match sent {
-            Ok(()) => {
+        let put = Request::StorePut { key, body, meta: cluster.meta() };
+        match cluster.ask(&shared.metrics, &successor, false, &put) {
+            Ok(_) => {
                 shared.metrics.replicated_out.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
@@ -1522,7 +1485,8 @@ fn cluster_loop(shared: &Shared, rx: &mpsc::Receiver<ClusterTask>) {
 /// [`probe_tripped_peers`] owns them until the cooldown probe succeeds.
 fn heartbeat_members(shared: &Shared) {
     let Some(cluster) = &shared.cluster else { return };
-    for addr in cluster.members() {
+    let (_, members) = cluster.roster();
+    for addr in members {
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
@@ -1541,19 +1505,11 @@ fn refresh_from(shared: &Shared, addr: &str) {
     if addr == cluster.self_addr {
         return;
     }
-    let wire = Request::RingStatus.to_wire();
-    let Ok(line) = cluster.peers.call(addr, &shared.metrics, false, |client| {
-        Ok(client.request_line(&wire)?.trim_end().to_string())
-    }) else {
+    let Ok(Ok(result)) = cluster.ask_result(&shared.metrics, addr, false, &Request::RingStatus)
+    else {
         return;
     };
-    let Ok(reply) = Json::parse(&line) else { return };
-    if !reply.get("ok").and_then(|v| v.as_bool().ok()).unwrap_or(false) {
-        return;
-    }
-    let Some((epoch, members)) = reply.get("result").and_then(protocol::parse_roster) else {
-        return;
-    };
+    let Some((epoch, members)) = protocol::parse_roster(&result) else { return };
     if cluster.adopt(epoch, &members) {
         shared.metrics.ring_refreshes.fetch_add(1, Ordering::Relaxed);
         cluster.schedule(ClusterTask::Handoff);
@@ -1568,7 +1524,7 @@ fn run_handoff(shared: &Shared) {
     if cluster.draining.load(Ordering::Acquire) {
         return;
     }
-    let members = cluster.members();
+    let (_, members) = cluster.roster();
     if members.len() < 2 {
         return;
     }
@@ -1643,13 +1599,12 @@ impl Conn {
         self.write_buf.len() - self.written
     }
 
-    /// Queues a response frame (newline-terminated) and grows both the
-    /// daemon-wide and the owning reactor's pending-byte gauges.
+    /// Queues a response frame (newline-terminated) and grows the owning
+    /// reactor's pending-byte gauge.
     fn push_frame(&mut self, shared: &Shared, frame: &str) {
         self.write_buf.extend_from_slice(frame.as_bytes());
         self.write_buf.push(b'\n');
         let queued = frame.len() as u64 + 1;
-        shared.metrics.pending_bytes.fetch_add(queued, Ordering::Relaxed);
         shared.reactors[self.reactor].stats.pending_bytes.fetch_add(queued, Ordering::Relaxed);
     }
 
@@ -1672,47 +1627,8 @@ enum CloseReason {
     Idle,
 }
 
-/// A reactor-local stash of retired connection buffers. Bounded two
-/// ways — [`POOL_MAX_BUFFERS`] slots, [`POOL_MAX_BUF_CAPACITY`] per
-/// buffer — so connection churn recycles allocations without an
-/// occasional huge upload turning the pool into a permanent hoard.
-/// Thread-local to one reactor: no locks on the accept path.
-struct BufferPool {
-    bufs: Vec<Vec<u8>>,
-}
-
-impl BufferPool {
-    fn new() -> BufferPool {
-        BufferPool { bufs: Vec::new() }
-    }
-
-    /// An empty buffer, recycled when one is banked.
-    fn take(&mut self, stats: &ReactorStats) -> Vec<u8> {
-        match self.bufs.pop() {
-            Some(buf) => {
-                stats.buffer_reuses.fetch_add(1, Ordering::Relaxed);
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Banks a retired buffer, unless it never allocated, outgrew the
-    /// per-buffer cap, or the pool is full.
-    fn put(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0
-            || buf.capacity() > POOL_MAX_BUF_CAPACITY
-            || self.bufs.len() >= POOL_MAX_BUFFERS
-        {
-            return;
-        }
-        buf.clear();
-        self.bufs.push(buf);
-    }
-}
-
-/// One reactor thread: owns its poller, its connection table, its
-/// buffer pool, and (reactor 0 only) the listener; loops on readiness
+/// One reactor thread: owns its poller, its connection table, and
+/// (reactor 0 only) the listener; loops on readiness
 /// events, a completion list fed by workers, sockets handed off by the
 /// acceptor, and a periodic tick for the idle sweep.
 fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>) {
@@ -1733,7 +1649,6 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = [0u8; 16 * 1024];
-    let mut pool = BufferPool::new();
     // Round-robin cursor (the acceptor rotates over every reactor,
     // itself included).
     let mut next_rr = idx;
@@ -1754,7 +1669,6 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
                     &mut conns,
                     &mut next_token,
                     &mut next_rr,
-                    &mut pool,
                 ),
                 WAKER_TOKEN => rs.waker.drain(),
                 token => {
@@ -1767,16 +1681,9 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
                         dead = !flush_writes(shared, conn);
                     }
                     if dead {
-                        close_conn(
-                            shared,
-                            &poller,
-                            &mut conns,
-                            &mut pool,
-                            token,
-                            CloseReason::Gone,
-                        );
+                        close_conn(shared, &poller, &mut conns, token, CloseReason::Gone);
                     } else {
-                        finish_turn(shared, &poller, &mut conns, &mut pool, token);
+                        finish_turn(shared, &poller, &mut conns, token);
                     }
                 }
             }
@@ -1784,9 +1691,9 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
         // Sockets the acceptor handed over, then worker completions —
         // both can land without their waker event being in this batch;
         // drain unconditionally (uncontended locks).
-        adopt_incoming(shared, idx, &poller, &mut conns, &mut next_token, &mut pool);
-        deliver_completions(shared, idx, &poller, &mut conns, &mut pool);
-        sweep_idle(shared, &poller, &mut conns, &mut pool);
+        adopt_incoming(shared, idx, &poller, &mut conns, &mut next_token);
+        deliver_completions(shared, idx, &poller, &mut conns);
+        sweep_idle(shared, &poller, &mut conns);
         if shared.shutting_down.load(Ordering::Acquire) {
             break;
         }
@@ -1795,14 +1702,13 @@ fn reactor_loop(shared: &Arc<Shared>, idx: usize, listener: Option<TcpListener>)
     // report every late connect as ready on each wait (the drain never
     // accepts), spinning the loop while the client hangs in the backlog.
     drop(listener);
-    drain_and_close(shared, idx, &poller, &mut conns, &mut pool);
+    drain_and_close(shared, idx, &poller, &mut conns);
 }
 
 /// Accepts everything pending on the listener; each socket is either
 /// registered here (when the rotation lands on the acceptor itself) or
 /// handed to the rotation's next reactor through its `incoming` list
 /// and waker.
-#[allow(clippy::too_many_arguments)]
 fn accept_ready(
     shared: &Shared,
     idx: usize,
@@ -1811,7 +1717,6 @@ fn accept_ready(
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     next_rr: &mut usize,
-    pool: &mut BufferPool,
 ) {
     loop {
         match listener.accept() {
@@ -1827,7 +1732,7 @@ fn accept_ready(
                     peer.waker.wake();
                     continue;
                 }
-                register_conn(shared, idx, poller, stream, conns, next_token, pool);
+                register_conn(shared, idx, poller, stream, conns, next_token);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1844,19 +1749,18 @@ fn adopt_incoming(
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
-    pool: &mut BufferPool,
 ) {
     let streams = std::mem::take(&mut *shared.reactors[idx].incoming.lock().expect("incoming"));
     for stream in streams {
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        register_conn(shared, idx, poller, stream, conns, next_token, pool);
+        register_conn(shared, idx, poller, stream, conns, next_token);
     }
 }
 
 /// Puts one accepted socket under this reactor's wing: nonblocking, no
-/// Nagle, registered read-ready, buffers from the recycle pool.
+/// Nagle, registered read-ready, empty buffers.
 fn register_conn(
     shared: &Shared,
     idx: usize,
@@ -1864,7 +1768,6 @@ fn register_conn(
     stream: TcpStream,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
-    pool: &mut BufferPool,
 ) {
     if stream.set_nonblocking(true).is_err() {
         return;
@@ -1876,19 +1779,17 @@ fn register_conn(
     if poller.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
         return;
     }
-    let rs = &shared.reactors[idx];
-    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    rs.stats.accepted.fetch_add(1, Ordering::Relaxed);
-    rs.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+    let stats = &shared.reactors[idx].stats;
+    stats.accepted.fetch_add(1, Ordering::Relaxed);
+    stats.open_connections.fetch_add(1, Ordering::Relaxed);
     conns.insert(
         token,
         Conn {
             stream,
             token,
             reactor: idx,
-            read_buf: pool.take(&rs.stats),
-            write_buf: pool.take(&rs.stats),
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
             written: 0,
             state: ConnState::default(),
             busy: false,
@@ -1946,7 +1847,6 @@ fn flush_writes(shared: &Shared, conn: &mut Conn) -> bool {
             Ok(0) => return false,
             Ok(n) => {
                 conn.written += n;
-                shared.metrics.pending_bytes.fetch_sub(n as u64, Ordering::Relaxed);
                 shared.reactors[conn.reactor]
                     .stats
                     .pending_bytes
@@ -2015,29 +1915,23 @@ fn process_frames(shared: &Shared, conn: &mut Conn) -> bool {
 /// flush opportunistically (most responses fit the socket buffer, so
 /// waiting for EPOLLOUT would add a poll round trip), then settle the
 /// close-or-rearm decision.
-fn finish_turn(
-    shared: &Shared,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    pool: &mut BufferPool,
-    token: u64,
-) {
+fn finish_turn(shared: &Shared, poller: &Poller, conns: &mut HashMap<u64, Conn>, token: u64) {
     let Some(conn) = conns.get_mut(&token) else { return };
     if !process_frames(shared, conn) || !flush_writes(shared, conn) {
-        close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+        close_conn(shared, poller, conns, token, CloseReason::Gone);
         return;
     }
     if conn.close_after_drain && conn.unwritten() == 0 {
         if conn.shutdown_when_drained {
             trigger_shutdown(shared);
         }
-        close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+        close_conn(shared, poller, conns, token, CloseReason::Gone);
         return;
     }
     let desired = conn.desired_interest();
     if desired != conn.interest {
         if poller.modify(conn.stream.as_raw_fd(), token, desired).is_err() {
-            close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+            close_conn(shared, poller, conns, token, CloseReason::Gone);
             return;
         }
         conn.interest = desired;
@@ -2051,7 +1945,6 @@ fn deliver_completions(
     idx: usize,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
-    pool: &mut BufferPool,
 ) {
     let completed =
         std::mem::take(&mut *shared.reactors[idx].completions.lock().expect("completions"));
@@ -2066,19 +1959,14 @@ fn deliver_completions(
             settle_ticket(shared, ticket);
         }
         conn.push_frame(shared, &frame);
-        finish_turn(shared, poller, conns, pool, token);
+        finish_turn(shared, poller, conns, token);
     }
 }
 
 /// Reaps connections idle past the deadline (not waiting on a worker,
 /// nothing left to write): the slow-client guard that keeps half-open
 /// sockets from accumulating forever.
-fn sweep_idle(
-    shared: &Shared,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    pool: &mut BufferPool,
-) {
+fn sweep_idle(shared: &Shared, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
     let now = Instant::now();
     let stale: Vec<u64> = conns
         .values()
@@ -2090,7 +1978,7 @@ fn sweep_idle(
         .map(|c| c.token)
         .collect();
     for token in stale {
-        close_conn(shared, poller, conns, pool, token, CloseReason::Idle);
+        close_conn(shared, poller, conns, token, CloseReason::Idle);
     }
 }
 
@@ -2098,7 +1986,6 @@ fn close_conn(
     shared: &Shared,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
-    pool: &mut BufferPool,
     token: u64,
     reason: CloseReason,
 ) {
@@ -2113,19 +2000,13 @@ fn close_conn(
         // completion handler will.
         settle_ticket(shared, ticket);
     }
-    let rs = &shared.reactors[conn.reactor];
-    shared.metrics.pending_bytes.fetch_sub(conn.unwritten() as u64, Ordering::Relaxed);
-    rs.stats.pending_bytes.fetch_sub(conn.unwritten() as u64, Ordering::Relaxed);
-    shared.metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
-    rs.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+    let stats = &shared.reactors[conn.reactor].stats;
+    stats.pending_bytes.fetch_sub(conn.unwritten() as u64, Ordering::Relaxed);
+    stats.open_connections.fetch_sub(1, Ordering::Relaxed);
     if matches!(reason, CloseReason::Idle) {
-        shared.metrics.idle_reaped.fetch_add(1, Ordering::Relaxed);
-        rs.stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
+        stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
     }
-    // Bank the buffers for the next connection; dropping the stream
-    // closes the fd.
-    pool.put(std::mem::take(&mut conn.read_buf));
-    pool.put(std::mem::take(&mut conn.write_buf));
+    // Dropping the connection closes the fd and frees its buffers.
 }
 
 /// The shutdown drain: stop accepting, keep delivering completions and
@@ -2133,17 +2014,11 @@ fn close_conn(
 /// deadline passes), then close everything. This is what gets the
 /// `shutdown` op's own response onto the wire, and lets in-flight jobs
 /// answer their clients.
-fn drain_and_close(
-    shared: &Shared,
-    idx: usize,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    pool: &mut BufferPool,
-) {
+fn drain_and_close(shared: &Shared, idx: usize, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
     let deadline = Instant::now() + DRAIN_DEADLINE;
     let mut events: Vec<Event> = Vec::new();
     loop {
-        deliver_completions(shared, idx, poller, conns, pool);
+        deliver_completions(shared, idx, poller, conns);
         // Connections with nothing owed can go now; reads are over.
         let settled: Vec<u64> =
             conns.values().filter(|c| !c.busy && c.unwritten() == 0).map(|c| c.token).collect();
@@ -2153,7 +2028,7 @@ fn drain_and_close(
                     trigger_shutdown(shared);
                 }
             }
-            close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+            close_conn(shared, poller, conns, token, CloseReason::Gone);
         }
         if conns.is_empty() || Instant::now() >= deadline {
             break;
@@ -2166,11 +2041,11 @@ fn drain_and_close(
                 continue;
             }
             if event.closed {
-                close_conn(shared, poller, conns, pool, event.token, CloseReason::Gone);
+                close_conn(shared, poller, conns, event.token, CloseReason::Gone);
             } else if event.writable {
                 if let Some(conn) = conns.get_mut(&event.token) {
                     if !flush_writes(shared, conn) {
-                        close_conn(shared, poller, conns, pool, event.token, CloseReason::Gone);
+                        close_conn(shared, poller, conns, event.token, CloseReason::Gone);
                     }
                 }
             }
@@ -2187,7 +2062,7 @@ fn drain_and_close(
                         conn.interest = desired;
                     }
                     if !flush_writes(shared, conn) {
-                        close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+                        close_conn(shared, poller, conns, token, CloseReason::Gone);
                     }
                 }
             }
@@ -2196,7 +2071,7 @@ fn drain_and_close(
     // Force-close whatever is left (deadline expired).
     let tokens: Vec<u64> = conns.keys().copied().collect();
     for token in tokens {
-        close_conn(shared, poller, conns, pool, token, CloseReason::Gone);
+        close_conn(shared, poller, conns, token, CloseReason::Gone);
     }
 }
 
@@ -2207,6 +2082,10 @@ fn drain_and_close(
 fn status_body(shared: &Shared) -> Json {
     let m = &shared.metrics;
     let st = shared.store.stats();
+    // The daemon-wide connection gauges are the sums of the reactors'.
+    let total = |gauge: fn(&ReactorStats) -> &AtomicU64| -> u64 {
+        shared.reactors.iter().map(|r| gauge(&r.stats).load(Ordering::Relaxed)).sum()
+    };
     let mut body = Json::object()
         .with("uptime_ms", m.uptime_ms())
         .with("engine", "reactor")
@@ -2217,9 +2096,18 @@ fn status_body(shared: &Shared) -> Json {
                 protocol::SCHEMA_VERSIONS.iter().map(|&v| Json::from(u64::from(v))).collect(),
             ),
         )
-        .with("connections", m.connections.load(Ordering::Relaxed))
+        .with("connections", total(|s| &s.accepted))
         .with("ops", m.ops_json())
-        .with("reactor", m.reactor_json().with("count", shared.reactors.len()))
+        .with(
+            "reactor",
+            Json::object()
+                .with("open_connections", total(|s| &s.open_connections))
+                .with("pending_jobs", m.queue_depth.load(Ordering::Relaxed))
+                .with("pending_bytes", total(|s| &s.pending_bytes))
+                .with("byte_sheds", total(|s| &s.byte_sheds))
+                .with("idle_reaped", total(|s| &s.idle_reaped))
+                .with("count", shared.reactors.len()),
+        )
         .with(
             "reactors",
             Json::Arr(shared.reactors.iter().map(|r| r.stats.json(r.byte_budget)).collect()),
@@ -2263,10 +2151,7 @@ fn status_body(shared: &Shared) -> Json {
                 .with("self", cluster.self_addr.clone())
                 .with("epoch", epoch)
                 .with("draining", cluster.draining.load(Ordering::Relaxed))
-                .with(
-                    "members",
-                    Json::Arr(members.iter().map(|s| Json::from(s.as_str())).collect()),
-                )
+                .with("members", members)
                 .with("successor", successor.map_or(Json::Null, Json::Str))
                 .with(
                     "membership",

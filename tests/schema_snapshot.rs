@@ -51,3 +51,32 @@ fn golden_v2_report_parses_with_the_current_reader() {
     assert!(!report.items.is_empty());
     assert_eq!(report.schema_version, gpa::core::SCHEMA_VERSION);
 }
+
+fn golden_v1_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/analyze_v1_rodinia_hotspot.json")
+}
+
+/// The v1 compatibility body the daemon serves (`protocol::analyze_body`
+/// at schema 1) is a wire contract for pre-v2 clients: its bytes are
+/// pinned the same way, regenerated only with `GPA_UPDATE_GOLDEN=1`.
+#[test]
+fn golden_v1_analyze_body_has_not_drifted() {
+    let session = Session::test();
+    let outcome = session.run_one(&AnalysisJob::new("rodinia/hotspot", 0)).expect("analysis runs");
+    let mut produced = gpa::serve::protocol::analyze_body(&outcome, 1).compact();
+    produced.push('\n');
+
+    let path = golden_v1_path();
+    if std::env::var_os("GPA_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &produced).expect("write golden");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert_eq!(
+        produced,
+        committed,
+        "the v1 analyze body drifted from {}; it must stay byte-identical for pre-v2 clients",
+        path.display()
+    );
+}

@@ -16,6 +16,7 @@ use gpa::serve::{
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -863,6 +864,35 @@ fn hierarchy_requests_match_in_process_and_share_the_artifact_cache() {
     handle.join();
 }
 
+/// A daemon handed a hierarchy-default session still answers a request
+/// without `"mem"` under the flat model: the wire picks the memory
+/// model, not the session default, so a body always matches the content
+/// address it is stored under.
+#[test]
+fn hierarchy_default_session_answers_flat_requests_flat() {
+    let handle =
+        serve(Arc::new(Session::test().with_hierarchy()), ephemeral()).expect("daemon binds");
+    let job = AnalysisJob::new("rodinia/nw", 0);
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    let flat = client.analyze(&job.app, job.variant).expect("flat analyze");
+    assert!(flat.ok, "{:?}", flat.error);
+    assert_eq!(
+        flat.result.unwrap().compact(),
+        reference_body(&Session::test(), &job),
+        "a request without `mem` is answered under the flat model"
+    );
+    let options = hierarchy_options();
+    let hier = client.analyze_with(&job.app, job.variant, &options).expect("hierarchy analyze");
+    assert!(hier.ok, "{:?}", hier.error);
+    assert_eq!(
+        hier.result.unwrap().compact(),
+        in_process_analyze(&Session::test().with_hierarchy(), &job, &options),
+        "`\"mem\":\"hierarchy\"` is answered under the hierarchy"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
 // ---------------------------------------------------------------------
 // Multi-reactor serving
 // ---------------------------------------------------------------------
@@ -997,6 +1027,22 @@ fn multi_reactor_pipelines_in_order_and_reaps_idle() {
     assert!(accepted[0].abs_diff(accepted[1]) <= 1, "round-robin spread: {accepted:?}");
     let reaped: u64 = per.iter().map(|r| r.field("idle_reaped").unwrap().as_u64().unwrap()).sum();
     assert!(reaped >= 1, "the reap is attributed to a reactor");
+    // The daemon-wide gauges are exactly the per-reactor sums.
+    let sum = |field: &str| -> u64 {
+        per.iter().map(|r| r.field(field).unwrap().as_u64().unwrap()).sum()
+    };
+    assert_eq!(
+        status.field("connections").unwrap().as_u64().unwrap(),
+        sum("accepted"),
+        "status.connections sums status.reactors[].accepted"
+    );
+    for field in ["open_connections", "pending_bytes", "byte_sheds", "idle_reaped"] {
+        assert_eq!(
+            reactor.field(field).unwrap().as_u64().unwrap(),
+            sum(field),
+            "status.reactor.{field} sums status.reactors[].{field}"
+        );
+    }
     handle.shutdown();
     handle.join();
 }
@@ -1530,6 +1576,59 @@ fn heartbeat_trips_a_dead_peers_breaker_before_any_user_call() {
         handle.shutdown();
         handle.join();
     }
+}
+
+/// A peer that answers every frame with garbage is reachable, not
+/// failing: heartbeat replies are read only after the peer call has
+/// returned, so an unreadable roster never counts against the peer's
+/// breaker.
+#[test]
+fn garbage_peer_replies_never_trip_the_breaker() {
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind the fake peer");
+    let fake_addr = fake.local_addr().expect("fake addr").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let fake_peer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in fake.incoming() {
+                let Ok(stream) = stream else { break };
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                conns.push(std::thread::spawn(move || {
+                    let Ok(mut writer) = stream.try_clone() else { return };
+                    for line in BufReader::new(stream).lines() {
+                        if line.is_err() || writer.write_all(b"not json\n").is_err() {
+                            return;
+                        }
+                    }
+                }));
+            }
+            for conn in conns {
+                conn.join().expect("fake peer connection thread");
+            }
+        })
+    };
+    let handle = test_server(ServerConfig { peers: vec![fake_addr.clone()], ..ephemeral() });
+    // Three heartbeat intervals.
+    std::thread::sleep(Duration::from_millis(3500));
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    let status = client.status().expect("status").into_result().expect("ok");
+    let cluster = status.field("cluster").unwrap();
+    let heartbeats =
+        cluster.field("membership").unwrap().field("heartbeats").unwrap().as_u64().unwrap();
+    assert!(heartbeats >= 2, "the chore thread heartbeat the fake peer, got {heartbeats}");
+    let peer = cluster.field("peers").unwrap().field(fake_addr.as_str()).unwrap();
+    assert_eq!(peer.field("state").unwrap().as_str().unwrap(), "ok", "{}", peer.compact());
+    assert_eq!(peer.field("failures").unwrap().as_u64().unwrap(), 0, "{}", peer.compact());
+    handle.shutdown();
+    handle.join();
+    // The daemon's pooled connections closed with it; wake the fake's
+    // accept loop so it can join its connection threads and exit.
+    stop.store(true, Ordering::Release);
+    drop(TcpStream::connect(&fake_addr));
+    fake_peer.join().expect("fake peer thread");
 }
 
 /// A seeded fault plan scripts the peer path: `deny:*:count=2` on
